@@ -9,8 +9,7 @@ module so user code has a single :func:`current_task`.
 from __future__ import annotations
 
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional, TYPE_CHECKING
+from typing import Optional, TYPE_CHECKING
 
 from ..errors import RuntimeStateError
 
@@ -38,12 +37,23 @@ def require_current_task() -> "TaskHandle":
     return task
 
 
-@contextmanager
-def task_scope(task: "TaskHandle") -> Iterator[None]:
-    """Install *task* as this thread's current task for the duration."""
-    prev = getattr(_tls, "task", None)
-    _tls.task = task
-    try:
-        yield
-    finally:
-        _tls.task = prev
+class task_scope:
+    """Install *task* as this thread's current task for the duration.
+
+    A plain slotted context manager rather than a ``@contextmanager``
+    generator: the pool, process and executor runtimes enter one per
+    task, and this form costs no generator or helper object.  Scopes
+    nest, and the previous task is restored on exit, exception or not.
+    """
+
+    __slots__ = ("_task", "_prev")
+
+    def __init__(self, task: "TaskHandle") -> None:
+        self._task = task
+
+    def __enter__(self) -> None:
+        self._prev = getattr(_tls, "task", None)
+        _tls.task = self._task
+
+    def __exit__(self, *exc_info: object) -> None:
+        _tls.task = self._prev

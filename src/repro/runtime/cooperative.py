@@ -29,15 +29,33 @@ the event-driven waker protocol on :class:`~repro.runtime.future.Future`
 (targeted wakes for the blocking runtimes' supervised waits) is simply
 unused here — blocked generators are parked in data structures and
 resumed when their future's task terminates.
+
+Each task is one slotted record, :class:`_Task`: its
+:class:`~repro.runtime.task.TaskHandle` identity plus the generator, the
+future, and what to deliver at the next step (a value to send or an
+exception to throw).  A scheduler step reads the record, installs the
+task as the thread's current task, resumes the generator once, restores
+the previous current task and acts on what was yielded; no per-step
+object is allocated, and only a join that really blocks touches the
+task-keyed waits-for map.  A completed task's record drops its
+generator and future, so a result lives exactly as long as the program
+holds its future.
+
+The verification layers are reached through class attributes on every
+fork and join (``Verifier.on_fork``, ``HybridVerifier.begin_join``, ...),
+never through bound methods cached at construction: tracing and
+telemetry wrap those attributes on the class, and a cached bound method
+would hide the layer from them.
 """
 
 from __future__ import annotations
 
 import inspect
 from collections import deque
+from types import FunctionType
 from typing import Any, Callable, Generator, Optional, Union
 
-from .context import current_task, require_current_task, task_scope
+from .context import _tls, current_task, require_current_task
 from .future import Future
 from .task import TaskHandle, TaskState
 from ..armus.hybrid import HybridVerifier
@@ -55,14 +73,14 @@ from ..formal.deadlock import find_cycle
 __all__ = ["CooperativeRuntime"]
 
 
-class _Resume:
-    """What to deliver to a task at its next step."""
+class _Task(TaskHandle):
+    """A cooperative task: its handle plus everything the scheduler keeps.
 
-    __slots__ = ("value", "exc")
+    ``value``/``exc`` is what the next step sends or throws into ``gen``;
+    ``gen`` and ``future`` are dropped when the task completes.
+    """
 
-    def __init__(self, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        self.value = value
-        self.exc = exc
+    __slots__ = ("gen", "future", "value", "exc")
 
 
 class CooperativeRuntime:
@@ -84,13 +102,10 @@ class CooperativeRuntime:
         self._hybrid: Optional[HybridVerifier] = HybridVerifier(policy_obj) if fallback else None
         self._verifier: Verifier = self._hybrid.verifier if self._hybrid else Verifier(policy_obj)
         self._scheduler = scheduler
-        self._ready: deque[TaskHandle] = deque()
-        self._resume: dict[TaskHandle, _Resume] = {}
-        self._gen: dict[TaskHandle, Generator] = {}
-        self._future: dict[TaskHandle, Future] = {}
+        self._ready: deque[_Task] = deque()
         #: task -> future it is blocked on (the cooperative waits-for map)
-        self._blocked_on: dict[TaskHandle, Future] = {}
-        self._waiters: dict[Future, list[TaskHandle]] = {}
+        self._blocked_on: dict[_Task, Future] = {}
+        self._waiters: dict[Future, list[_Task]] = {}
         self._running = False
         self._root_started = False
         self._steps = 0
@@ -125,8 +140,8 @@ class CooperativeRuntime:
             )
         self._root_started = True
         vertex = self._verifier.on_init()
-        root = self._make_task(vertex, fn, args, kwargs, name="root")
-        root_future = self._future[root]
+        root = self._make_task(vertex, fn, args, kwargs, current_task(), name="root")
+        root_future = root.future
         self._running = True
         try:
             self._loop()
@@ -142,11 +157,13 @@ class CooperativeRuntime:
         Forking is a cancellation point: a cancelled task faults here
         with :class:`~repro.errors.TaskCancelledError`.
         """
-        parent = require_current_task()
-        parent.cancel_token.raise_if_cancelled(parent)
+        parent = getattr(_tls, "task", None)
+        if parent is None:
+            parent = require_current_task()  # raises: not inside a task
+        if parent.cancel_token._cancelled:
+            raise TaskCancelledError(parent)
         vertex = self._verifier.on_fork(parent.vertex)
-        task = self._make_task(vertex, fn, args, kwargs)
-        return self._future[task]
+        return self._make_task(vertex, fn, args, kwargs, parent).future
 
     def join(self, future: Future, *, timeout: Optional[float] = None) -> Any:
         """Synchronous join — only legal on an already-terminated future.
@@ -169,10 +186,9 @@ class CooperativeRuntime:
             self._hybrid.begin_join(
                 joiner, joinee, joiner.vertex, joinee.vertex, joinee_done=True
             )
-            self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
         else:
             self._verifier.require_join(joiner.vertex, joinee.vertex)
-            self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
+        self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
         future._joined = True
         return future._result_now()
 
@@ -185,22 +201,26 @@ class CooperativeRuntime:
         fn: Callable[..., Any],
         args: tuple,
         kwargs: dict,
+        parent: Optional[TaskHandle],
         *,
         name: Optional[str] = None,
-    ) -> TaskHandle:
-        parent = current_task()
-        task = TaskHandle(
-            vertex, code=fn, name=name, parent_uid=parent.uid if parent else None
+    ) -> _Task:
+        task = _Task(
+            vertex, code=fn, name=name, parent_uid=None if parent is None else parent.uid
         )
-        future = Future(self, task)
-        self._future[task] = future
+        task.future = Future(self, task)
+        task.value = task.exc = None
         # Instantiate the body immediately so generator-function detection
         # happens at fork time; execution starts at the first scheduler step.
-        if inspect.isgeneratorfunction(fn):
-            self._gen[task] = fn(*args, **kwargs)
+        if type(fn) is FunctionType:
+            is_generator = fn.__code__.co_flags & inspect.CO_GENERATOR
+        else:
+            is_generator = inspect.isgeneratorfunction(fn)
+        if is_generator:
+            task.gen = fn(*args, **kwargs)
         else:
             # Plain callables run atomically when first scheduled.
-            self._gen[task] = _as_generator(fn, args, kwargs)
+            task.gen = _as_generator(fn, args, kwargs)
         task.state = TaskState.RUNNING
         self._ready.append(task)
         return task
@@ -216,7 +236,7 @@ class CooperativeRuntime:
                 break
             self._step(self._select_task())
 
-    def _select_task(self) -> TaskHandle:
+    def _select_task(self) -> _Task:
         """Pick the next ready task to step (the scheduling decision)."""
         if self._scheduler is None:
             return self._ready.popleft()
@@ -262,30 +282,37 @@ class CooperativeRuntime:
             else "all tasks blocked but no cycle found (external future?)",
         )
 
-    def _step(self, task: TaskHandle) -> None:
-        gen = self._gen[task]
-        resume = self._resume.pop(task, _Resume())
-        if task.cancel_token.cancelled() and resume.exc is None:
+    def _step(self, task: _Task) -> None:
+        self._steps += 1
+        exc = task.exc
+        if exc is not None:
+            task.exc = None
+        elif task.cancel_token._cancelled:
             # Scheduling is a cancellation point: deliver the request as
             # an exception thrown into the generator, so the task can
             # run its cleanup (or catch and finish gracefully).
-            resume = _Resume(exc=TaskCancelledError(task))
-        self._steps += 1
-        with task_scope(task):
-            try:
-                if resume.exc is not None:
-                    yielded = gen.throw(resume.exc)
-                else:
-                    yielded = gen.send(resume.value)
-            except StopIteration as stop:
-                self._complete(task, value=stop.value)
-                return
-            except BaseException as exc:  # noqa: BLE001 - delivered at joins
-                self._complete(task, exc=exc)
-                return
+            exc = TaskCancelledError(task)
+        value = task.value
+        task.value = None
+        prev = getattr(_tls, "task", None)
+        _tls.task = task
+        try:
+            if exc is None:
+                yielded = task.gen.send(value)
+            else:
+                yielded = task.gen.throw(exc)
+        except StopIteration as stop:
+            _tls.task = prev
+            self._complete(task, stop.value)
+            return
+        except BaseException as failure:  # noqa: BLE001 - delivered at joins
+            _tls.task = prev
+            self._complete(task, exc=failure)
+            return
+        _tls.task = prev
         self._handle_yield(task, yielded)
 
-    def _handle_yield(self, task: TaskHandle, yielded: Any) -> None:
+    def _handle_yield(self, task: _Task, yielded: Any) -> None:
         if yielded is None:
             # Pure scheduling yield: go to the back of the ready queue.
             self._ready.append(task)
@@ -293,31 +320,28 @@ class CooperativeRuntime:
         if not isinstance(yielded, Future):
             if self._handle_other_yield(task, yielded):
                 return
-            self._resume[task] = _Resume(
-                exc=RuntimeStateError(f"task yielded {yielded!r}; yield a Future or None")
-            )
+            task.exc = RuntimeStateError(f"task yielded {yielded!r}; yield a Future or None")
             self._ready.append(task)
             return
         future = yielded
         if future._runtime is not self:
-            self._resume[task] = _Resume(
-                exc=RuntimeStateError("future belongs to a different runtime")
-            )
+            task.exc = RuntimeStateError("future belongs to a different runtime")
             self._ready.append(task)
             return
         joinee = future.task
+        done = future._done
         try:
             if self._hybrid is not None:
-                blocked = self._hybrid.begin_join(
-                    task, joinee, task.vertex, joinee.vertex, joinee_done=future.done()
+                self._hybrid.begin_join(
+                    task, joinee, task.vertex, joinee.vertex, joinee_done=done
                 )
             else:
                 self._verifier.require_join(task.vertex, joinee.vertex)
         except BaseException as exc:  # policy fault or avoided deadlock
-            self._resume[task] = _Resume(exc=exc)
+            task.exc = exc
             self._ready.append(task)
             return
-        if future.done():
+        if done:
             self._finish_join(task, future)
             self._ready.append(task)
             return
@@ -327,38 +351,35 @@ class CooperativeRuntime:
         self._waiters.setdefault(future, []).append(task)
         self._parked(task, future)
 
-    def _handle_other_yield(self, task: TaskHandle, yielded: Any) -> bool:
+    def _handle_other_yield(self, task: _Task, yielded: Any) -> bool:
         """Hook for subclass yield vocabulary (e.g. the simulator's
         sleep markers).  Return True when *yielded* was consumed."""
         return False
 
-    def _parked(self, task: TaskHandle, future: Future) -> None:
+    def _parked(self, task: _Task, future: Future) -> None:
         """Hook: *task* just blocked on *future* (simulator deadlines)."""
 
-    def _finish_join(self, task: TaskHandle, future: Future) -> None:
+    def _finish_join(self, task: _Task, future: Future) -> None:
         """Deliver a completed join's result (or failure) at next resume."""
         joinee = future.task
-        if self._hybrid is not None:
-            self._hybrid.on_join_completed(task.vertex, joinee.vertex)
-        else:
-            self._verifier.on_join_completed(task.vertex, joinee.vertex)
+        self._verifier.on_join_completed(task.vertex, joinee.vertex)
         future._joined = True
         try:
-            value = future._result_now()
+            task.value = future._result_now()
         except TaskFailedError as exc:
-            self._resume[task] = _Resume(exc=exc)
-        else:
-            self._resume[task] = _Resume(value=value)
+            task.exc = exc
 
-    def _complete(self, task: TaskHandle, value: Any = None, exc: Optional[BaseException] = None) -> None:
-        future = self._future[task]
+    def _complete(self, task: _Task, value: Any = None, exc: Optional[BaseException] = None) -> None:
+        future = task.future
+        # A finished record keeps neither the generator nor the future:
+        # the result lives exactly as long as the program holds the future.
+        task.gen = task.future = None
         if exc is not None:
             task.state = TaskState.FAILED
             future._set_exception(exc)
         else:
             task.state = TaskState.DONE
             future._set_result(value)
-        del self._gen[task]
         for waiter in self._waiters.pop(future, ()):
             blocked_future = self._blocked_on.pop(waiter, None)
             assert blocked_future is future

@@ -34,7 +34,7 @@ import heapq
 import random
 from typing import Any, Callable, Optional, Sequence, Union
 
-from .cooperative import CooperativeRuntime, _Resume
+from .cooperative import CooperativeRuntime
 from .explore import Schedule
 from .future import Future
 from .task import TaskHandle, TaskState
@@ -289,9 +289,7 @@ class SimRuntime(CooperativeRuntime):
                 self._hybrid.end_join(task, future.task)
             self.timeouts_fired += 1
             task.state = TaskState.RUNNING
-            self._resume[task] = _Resume(
-                exc=JoinTimeoutError(task, future.task, self.default_join_timeout)
-            )
+            task.exc = JoinTimeoutError(task, future.task, self.default_join_timeout)
             self._ready.append(task)
             return True
         return super()._on_idle()

@@ -1,5 +1,8 @@
 """Unit and integration tests for the deterministic cooperative runtime."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro import (
@@ -9,6 +12,8 @@ from repro import (
     PolicyViolationError,
     TaskFailedError,
 )
+from repro.armus.hybrid import HybridVerifier
+from repro.core.verifier import Verifier
 from repro.errors import RuntimeStateError
 from repro.runtime import current_task
 
@@ -335,3 +340,108 @@ class TestDeadlockHandling:
         assert len(set(results)) == 1
         assert results[0].endswith("-avoided")
         assert rt.detector.stats.deadlocks_avoided == 1
+
+
+class _Result:
+    """A weak-referenceable task result."""
+
+
+class TestMemory:
+    def test_dropped_futures_free_their_results(self):
+        """The runtime holds no completed future: once the program drops
+        a joined future, its result is garbage."""
+        rt = CooperativeRuntime()
+        refs = []
+
+        def leaf():
+            result = _Result()
+            refs.append(weakref.ref(result))
+            return result
+
+        def main():
+            for _ in range(100):
+                yield rt.fork(leaf)
+            # The step that resumes a join passes its result as the send
+            # argument; a scheduling yield makes this step deliver None.
+            yield None
+            gc.collect()
+            return sum(ref() is not None for ref in refs)
+
+        assert rt.run(main) == 0
+        assert len(refs) == 100
+
+
+def _contract_program(rt):
+    """Fan-out, a younger-sibling join and a mutual-join pair."""
+    box = {}
+
+    def leaf(i):
+        return i
+
+    def older():
+        while "young" not in box:
+            yield None
+        return (yield box["young"])  # flagged by TJ, admitted by Armus
+
+    def mutual(other):
+        while other not in box:
+            yield None
+        try:
+            return (yield box[other])
+        except DeadlockAvoidedError:
+            return -1
+
+    def main():
+        total = 0
+        for fut in [rt.fork(leaf, i) for i in range(20)]:
+            total += yield fut
+        first = rt.fork(older)
+        box["young"] = rt.fork(leaf, 100)
+        total += yield first
+        box["m1"] = rt.fork(mutual, "m2")
+        box["m2"] = rt.fork(mutual, "m1")
+        total += yield box["m1"]
+        total += yield box["m2"]
+        return total
+
+    return main
+
+
+#: joins _contract_program makes: 20 fan-out, 1 younger-sibling, the
+#: parent's join of that sibling's joiner, 2 in the pair, 2 of the pair
+CONTRACT_JOINS = 26
+
+
+class TestFastPathContract:
+    """What a faster scheduler must not change."""
+
+    def test_pinned_counts(self):
+        rt = CooperativeRuntime()
+        assert rt.run(_contract_program(rt)) == sum(range(20)) + 100 - 2
+        assert rt.steps == 51
+        stats = rt.verifier.stats
+        assert (stats.forks, stats.joins_checked, stats.joins_rejected) == (25, 26, 2)
+        armus = rt.detector.stats
+        assert (armus.false_positives, armus.deadlocks_avoided) == (2, 1)
+
+    def test_layer_boundaries_are_called_through_the_class(self, monkeypatch):
+        """Tracing and telemetry wrap the verifier layers on the class;
+        every join must pass through those wrappers, even when they are
+        installed after the runtime was built."""
+        rt = CooperativeRuntime()
+        seen = {"begin_join": 0, "check_join": 0}
+
+        def counting(cls, name):
+            original = getattr(cls, name)
+
+            def wrapper(*args, **kwargs):
+                seen[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+
+        counting(HybridVerifier, "begin_join")
+        counting(Verifier, "check_join")
+        rt.run(_contract_program(rt))
+        assert seen == {"begin_join": CONTRACT_JOINS, "check_join": CONTRACT_JOINS}
+        assert rt.verifier.stats.joins_checked == CONTRACT_JOINS
