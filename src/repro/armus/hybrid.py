@@ -67,12 +67,6 @@ class HybridVerifier:
     # ------------------------------------------------------------------
     # runtime-facing protocol
     # ------------------------------------------------------------------
-    def on_init(self) -> object:
-        return self.verifier.on_init()
-
-    def on_fork(self, parent: object) -> object:
-        return self.verifier.on_fork(parent)
-
     def begin_join(
         self,
         joiner_task: Hashable,
@@ -134,12 +128,13 @@ def replay_trace(trace: Iterable[Action], policy: JoinPolicy) -> HybridVerifier:
     trace.  Used by the precision ablation and by tests.
     """
     hybrid = HybridVerifier(policy)
+    verifier = hybrid.verifier
     vertices: dict[Hashable, object] = {}
     for action in trace:
         if isinstance(action, Init):
-            vertices[action.task] = hybrid.on_init()
+            vertices[action.task] = verifier.on_init()
         elif isinstance(action, Fork):
-            vertices[action.child] = hybrid.on_fork(vertices[action.parent])
+            vertices[action.child] = verifier.on_fork(vertices[action.parent])
         elif isinstance(action, Join):
             a, b = action.waiter, action.joinee
             blocked = hybrid.begin_join(a, b, vertices[a], vertices[b], joinee_done=True)

@@ -18,12 +18,10 @@ import asyncio
 import contextvars
 from typing import Any, Awaitable, Callable, Generator, Optional, Union
 
+from .core import JoinCore
 from .task import TaskHandle, TaskState
-from .threaded import resolve_policy
-from ..armus.hybrid import HybridVerifier
 from ..core.policy import JoinPolicy
-from ..core.verifier import Verifier
-from ..errors import RuntimeStateError, TaskFailedError
+from ..errors import RuntimeStateError
 
 __all__ = ["AsyncioRuntime", "AsyncFuture"]
 
@@ -36,15 +34,26 @@ class AsyncFuture:
     """The joinable handle of one verified asyncio task.
 
     ``await future`` performs a policy-checked join; so does
-    ``await future.join()``.
+    ``await future.join()``.  ``_joined``, ``_exc`` and ``_value`` are the
+    parts of the :class:`~repro.runtime.future.Future` interface the join
+    core reads once the task has finished.
     """
 
-    __slots__ = ("_runtime", "task", "_aio_task")
+    __slots__ = ("_runtime", "task", "_aio_task", "_joined")
 
     def __init__(self, runtime: "AsyncioRuntime", task: TaskHandle, aio_task: "asyncio.Task") -> None:
         self._runtime = runtime
         self.task = task
         self._aio_task = aio_task
+        self._joined = False
+
+    @property
+    def _exc(self) -> Optional[BaseException]:
+        return self._aio_task.exception()
+
+    @property
+    def _value(self) -> Any:
+        return self._aio_task.result()
 
     def done(self) -> bool:
         return self._aio_task.done()
@@ -60,7 +69,7 @@ class AsyncFuture:
         return f"<AsyncFuture of {self.task.name}: {state}>"
 
 
-class AsyncioRuntime:
+class AsyncioRuntime(JoinCore):
     """Deadlock-avoiding task verification for asyncio programs."""
 
     def __init__(
@@ -69,22 +78,7 @@ class AsyncioRuntime:
         *,
         fallback: bool = True,
     ) -> None:
-        policy_obj = resolve_policy(policy)
-        self._hybrid: Optional[HybridVerifier] = HybridVerifier(policy_obj) if fallback else None
-        self._verifier: Verifier = self._hybrid.verifier if self._hybrid else Verifier(policy_obj)
-        self._root_started = False
-
-    @property
-    def policy(self) -> JoinPolicy:
-        return self._verifier.policy
-
-    @property
-    def verifier(self) -> Verifier:
-        return self._verifier
-
-    @property
-    def detector(self):
-        return self._hybrid.detector if self._hybrid else None
+        self._init_core(policy, fallback=fallback)
 
     @staticmethod
     def current_task() -> Optional[TaskHandle]:
@@ -93,12 +87,7 @@ class AsyncioRuntime:
     # ------------------------------------------------------------------
     async def run(self, fn: Callable[..., Awaitable[Any]], *args: Any, **kwargs: Any) -> Any:
         """Execute the coroutine function *fn* as the root task."""
-        if self._root_started:
-            raise RuntimeStateError(
-                "this runtime already hosted a root task; create a fresh "
-                "AsyncioRuntime per program run"
-            )
-        self._root_started = True
+        self._claim_root()
         vertex = self._verifier.on_init()
         root = TaskHandle(vertex, code=fn, name="root")
         root.state = TaskState.RUNNING
@@ -150,35 +139,25 @@ class AsyncioRuntime:
         if joiner is None:
             raise RuntimeStateError("join outside any task context")
         joinee = future.task
-        blocked = False
-        if self._hybrid is not None:
-            blocked = self._hybrid.begin_join(
-                joiner, joinee, joiner.vertex, joinee.vertex, joinee_done=future.done()
-            )
-        else:
-            self._verifier.require_join(joiner.vertex, joinee.vertex)
+        waited = self._gate_join(joiner, joinee, future.done())
         prev_state = joiner.state
         joiner.state = TaskState.BLOCKED
         try:
-            result = await _outcome(future._aio_task)
+            await _settled(future._aio_task)
+        except BaseException:
+            if waited:
+                self._abandon_join(joiner, joinee)
+            raise
         finally:
             joiner.state = prev_state
-            if blocked and self._hybrid is not None:
-                self._hybrid.end_join(joiner, joinee)
-        if self._hybrid is not None:
-            self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
-        else:
-            self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
-        if isinstance(result, BaseException):
-            raise TaskFailedError(future.task, result)
-        return result
+        return self._finish_join(joiner, future, waited)
 
 
-async def _outcome(task: "asyncio.Task") -> Any:
-    """Await a task, returning its exception instead of raising it."""
+async def _settled(task: "asyncio.Task") -> None:
+    """Wait for *task* to finish; its failure is the join's to report."""
     try:
-        return await task
+        await task
     except asyncio.CancelledError:
         raise
-    except BaseException as exc:  # noqa: BLE001 - wrapped by the caller
-        return exc
+    except BaseException:  # noqa: BLE001 - read back by the join core
+        pass

@@ -41,11 +41,14 @@ task-keyed waits-for map.  A completed task's record drops its
 generator and future, so a result lives exactly as long as the program
 holds its future.
 
-The verification layers are reached through class attributes on every
-fork and join (``Verifier.on_fork``, ``HybridVerifier.begin_join``, ...),
-never through bound methods cached at construction: tracing and
-telemetry wrap those attributes on the class, and a cached bound method
-would hide the layer from them.
+Verification is the shared :class:`~repro.runtime.core.JoinCore`: a
+yielded future passes the core's gate, and a join completes through the
+core when the joinee has terminated — at once, or when the scheduler
+wakes the parked joiner.  The verification layers are reached through
+class attributes on every fork and join (``Verifier.on_fork``,
+``HybridVerifier.begin_join``, ...), never through bound methods cached
+at construction: tracing and telemetry wrap those attributes on the
+class, and a cached bound method would hide the layer from them.
 """
 
 from __future__ import annotations
@@ -55,19 +58,17 @@ from collections import deque
 from types import FunctionType
 from typing import Any, Callable, Generator, Optional, Union
 
-from .context import _tls, current_task, require_current_task
+from .context import _tls, require_current_task
+from .core import JoinCore
 from .future import Future
 from .task import TaskHandle, TaskState
-from ..armus.hybrid import HybridVerifier
 from ..core.policy import JoinPolicy
-from ..core.verifier import Verifier
 from ..errors import (
     DeadlockDetectedError,
     RuntimeStateError,
     TaskCancelledError,
     TaskFailedError,
 )
-from .threaded import resolve_policy
 from ..formal.deadlock import find_cycle
 
 __all__ = ["CooperativeRuntime"]
@@ -83,7 +84,7 @@ class _Task(TaskHandle):
     __slots__ = ("gen", "future", "value", "exc")
 
 
-class CooperativeRuntime:
+class CooperativeRuntime(JoinCore):
     """Deterministic single-threaded futures runtime with generator tasks."""
 
     def __init__(
@@ -98,31 +99,16 @@ class CooperativeRuntime:
         it.  The default (None) is FIFO.  Schedule exploration
         (:mod:`repro.runtime.explore`) uses this hook to drive a program
         through many interleavings deterministically."""
-        policy_obj = resolve_policy(policy)
-        self._hybrid: Optional[HybridVerifier] = HybridVerifier(policy_obj) if fallback else None
-        self._verifier: Verifier = self._hybrid.verifier if self._hybrid else Verifier(policy_obj)
+        self._init_core(policy, fallback=fallback)
         self._scheduler = scheduler
         self._ready: deque[_Task] = deque()
         #: task -> future it is blocked on (the cooperative waits-for map)
         self._blocked_on: dict[_Task, Future] = {}
         self._waiters: dict[Future, list[_Task]] = {}
         self._running = False
-        self._root_started = False
         self._steps = 0
 
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> JoinPolicy:
-        return self._verifier.policy
-
-    @property
-    def verifier(self) -> Verifier:
-        return self._verifier
-
-    @property
-    def detector(self):
-        return self._hybrid.detector if self._hybrid else None
-
     @property
     def steps(self) -> int:
         """Scheduler steps executed so far (determinism aid for tests)."""
@@ -133,21 +119,18 @@ class CooperativeRuntime:
     # ------------------------------------------------------------------
     def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
         """Execute *fn* as the root task; drive the scheduler to completion."""
-        if self._root_started:
-            raise RuntimeStateError(
-                "this runtime already hosted a root task; create a fresh "
-                "CooperativeRuntime per program run"
-            )
-        self._root_started = True
+        self._claim_root()
         vertex = self._verifier.on_init()
-        root = self._make_task(vertex, fn, args, kwargs, current_task(), name="root")
+        root = self._make_task(
+            vertex, fn, args, kwargs, getattr(_tls, "task", None), name="root"
+        )
         root_future = root.future
         self._running = True
         try:
             self._loop()
         finally:
             self._running = False
-        assert root_future.done()
+        assert root_future._done
         root_future._joined = True
         return root_future._result_now()
 
@@ -181,16 +164,8 @@ class CooperativeRuntime:
                 "cooperative tasks must join with `result = yield future`; "
                 "Future.join() can only collect already-terminated tasks"
             )
-        joinee = future.task
-        if self._hybrid is not None:
-            self._hybrid.begin_join(
-                joiner, joinee, joiner.vertex, joinee.vertex, joinee_done=True
-            )
-        else:
-            self._verifier.require_join(joiner.vertex, joinee.vertex)
-        self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
-        future._joined = True
-        return future._result_now()
+        self._gate_join(joiner, future.task, True)
+        return self._finish_join(joiner, future)
 
     # ------------------------------------------------------------------
     # internals
@@ -328,21 +303,19 @@ class CooperativeRuntime:
             task.exc = RuntimeStateError("future belongs to a different runtime")
             self._ready.append(task)
             return
-        joinee = future.task
         done = future._done
         try:
-            if self._hybrid is not None:
-                self._hybrid.begin_join(
-                    task, joinee, task.vertex, joinee.vertex, joinee_done=done
-                )
-            else:
-                self._verifier.require_join(task.vertex, joinee.vertex)
+            self._gate_join(task, future.task, done)
         except BaseException as exc:  # policy fault or avoided deadlock
             task.exc = exc
             self._ready.append(task)
             return
         if done:
-            self._finish_join(task, future)
+            # The result (or failure) is delivered at the next resume.
+            try:
+                task.value = self._finish_join(task, future)
+            except TaskFailedError as exc:
+                task.exc = exc
             self._ready.append(task)
             return
         # Genuinely blocked: park until the joinee completes.
@@ -359,16 +332,6 @@ class CooperativeRuntime:
     def _parked(self, task: _Task, future: Future) -> None:
         """Hook: *task* just blocked on *future* (simulator deadlines)."""
 
-    def _finish_join(self, task: _Task, future: Future) -> None:
-        """Deliver a completed join's result (or failure) at next resume."""
-        joinee = future.task
-        self._verifier.on_join_completed(task.vertex, joinee.vertex)
-        future._joined = True
-        try:
-            task.value = future._result_now()
-        except TaskFailedError as exc:
-            task.exc = exc
-
     def _complete(self, task: _Task, value: Any = None, exc: Optional[BaseException] = None) -> None:
         future = task.future
         # A finished record keeps neither the generator nor the future:
@@ -381,12 +344,12 @@ class CooperativeRuntime:
             task.state = TaskState.DONE
             future._set_result(value)
         for waiter in self._waiters.pop(future, ()):
-            blocked_future = self._blocked_on.pop(waiter, None)
-            assert blocked_future is future
-            if self._hybrid is not None:
-                self._hybrid.end_join(waiter, task)
+            del self._blocked_on[waiter]
             waiter.state = TaskState.RUNNING
-            self._finish_join(waiter, future)
+            try:
+                waiter.value = self._finish_join(waiter, future, True)
+            except TaskFailedError as exc:
+                waiter.exc = exc
             self._ready.append(waiter)
 
 

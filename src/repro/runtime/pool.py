@@ -27,15 +27,11 @@ from __future__ import annotations
 
 import threading
 from queue import Empty, SimpleQueue
-from time import perf_counter_ns
-from typing import Any, Callable, Optional, Union
+from typing import Callable, Optional, Union
 
-from .context import require_current_task, task_scope
 from .future import Future
-from .retry import RetryPolicy
 from .supervisor import StallWatchdog, SupervisedJoinMixin
-from .task import TaskHandle, TaskState
-from .threaded import resolve_policy, resolve_verifier
+from .task import TaskState
 from ..core.policy import JoinPolicy
 from ..core.verifier import Verifier
 from ..errors import RuntimeStateError, TaskCancelledError
@@ -73,20 +69,12 @@ class WorkSharingRuntime(SupervisedJoinMixin):
     ) -> None:
         if workers < 1 or max_workers < workers:
             raise ValueError("need 1 <= workers <= max_workers")
-        policy_obj = resolve_policy(policy)
-        (
-            self._hybrid,
-            self._verifier,
-            self._journal,
-            self._owns_journal,
-            self._owns_verifier,
-        ) = resolve_verifier(
-            policy_obj,
+        self._init_core(
+            policy,
             fallback=fallback,
             fail_mode=fail_mode,
             journal=journal,
             verifier=verifier,
-            runtime_name=type(self).__name__,
         )
         self._queue: "SimpleQueue" = SimpleQueue()
         self._lock = threading.Lock()
@@ -99,7 +87,6 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         self._worker_threads: set[int] = set()  # thread idents of pool workers
         self._outstanding = 0  # forked tasks not yet terminated
         self._all_done = threading.Condition(self._lock)
-        self._root_started = False
         self._shutdown = False
         self._init_supervision(
             default_join_timeout=default_join_timeout,
@@ -110,23 +97,6 @@ class WorkSharingRuntime(SupervisedJoinMixin):
         )
 
     # ------------------------------------------------------------------
-    @property
-    def policy(self) -> JoinPolicy:
-        return self._verifier.policy
-
-    @property
-    def verifier(self) -> Verifier:
-        return self._verifier
-
-    @property
-    def detector(self):
-        return self._hybrid.detector if self._hybrid else None
-
-    @property
-    def journal(self):
-        """The trace journal, or None when journaling is disabled."""
-        return self._journal
-
     @property
     def peak_workers(self) -> int:
         """Largest pool size reached (base + compensation threads)."""
@@ -168,54 +138,28 @@ class WorkSharingRuntime(SupervisedJoinMixin):
                 self._idle -= 1
             if item is _SHUTDOWN:
                 return
-            task, future, fn, args, kwargs = item
-            self._execute(task, future, fn, args, kwargs)
+            self._execute(item)
 
-    def _execute(self, task: TaskHandle, future: Future, fn, args, kwargs) -> None:
-        if task.cancel_token.cancelled():
+    def _execute(self, item: tuple) -> None:
+        task, future, fn, args, kwargs = item
+        if task.cancel_token._cancelled:
             # Cancelled while still queued: never run the body.
-            task.state = TaskState.FAILED
-            future._set_exception(TaskCancelledError(task))
-            with self._all_done:
-                self._outstanding -= 1
-                if self._outstanding == 0:
-                    self._all_done.notify_all()
-            return
-        task.state = TaskState.RUNNING
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        with task_scope(task):
-            handle = tracer.begin_span("run") if tracer is not None else None
-            try:
-                value = fn(*args, **kwargs)
-            except BaseException as exc:  # noqa: BLE001 - delivered at join
-                task.state = TaskState.FAILED
-                retry_delay = self._prepare_retry(future, exc)
-                if retry_delay is not None:
-                    # Requeue the attempt instead of completing the
-                    # future.  The task stays *outstanding* — run() must
-                    # not shut the pool down between attempts — and the
-                    # cancel check at the top of _execute drops retries
-                    # cancelled during the backoff.
-                    item = (task, future, fn, args, kwargs)
-                    if retry_delay > 0.0:
-                        timer = threading.Timer(retry_delay, self._queue.put, args=(item,))
-                        timer.daemon = True
-                        timer.start()
-                    else:
-                        self._queue.put(item)
-                    return
-                future._set_exception(exc)
-                if self._journal is not None:
-                    self._journal.log_complete(task.vertex, ok=False)
-            else:
-                task.state = TaskState.DONE
-                future._set_result(value)
-                if self._journal is not None:
-                    self._journal.log_complete(task.vertex, ok=True)
-            finally:
-                if tracer is not None:
-                    tracer.end_span(handle, args={"task": task.name})
+            self._settle(task, future, exc=TaskCancelledError(task))
+        else:
+            task.state = TaskState.RUNNING
+            retry_delay = self._run_attempt(task, future, fn, args, kwargs)
+            if retry_delay is not None:
+                # Requeue the attempt instead of completing the future.
+                # The task stays *outstanding* — run() must not shut the
+                # pool down between attempts — and the cancel check above
+                # drops retries cancelled during the backoff.
+                if retry_delay > 0.0:
+                    timer = threading.Timer(retry_delay, self._queue.put, args=(item,))
+                    timer.daemon = True
+                    timer.start()
+                else:
+                    self._queue.put(item)
+                return
         with self._all_done:
             self._outstanding -= 1
             if self._outstanding == 0:
@@ -280,103 +224,37 @@ class WorkSharingRuntime(SupervisedJoinMixin):
                 # so this cannot happen while we are blocked; be safe.
                 self._queue.put(item)
                 return False
-            task, future, fn, args, kwargs = item
-            self._execute(task, future, fn, args, kwargs)
+            self._execute(item)
             return True
 
         return helper
 
     # ------------------------------------------------------------------
-    # task API (mirrors TaskRuntime)
+    # scheduling hooks (see SupervisedJoinMixin)
     # ------------------------------------------------------------------
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute *fn* as the root task in the calling thread.
-
-        Returns after *fn* finishes **and** every forked task has
-        terminated (top-level implicit finish); then stops the pool,
-        reaps unjoined failures, and retires the watchdog.
-        """
+    def _start(self) -> None:
         with self._lock:
-            if self._root_started:
-                raise RuntimeStateError(
-                    "this runtime already hosted a root task; create a fresh "
-                    "WorkSharingRuntime per program run"
-                )
-            self._root_started = True
             for _ in range(self._base_workers):
                 self._spawn_worker()
-        vertex = self._verifier.on_init()
-        root = TaskHandle(vertex, code=fn, name="root")
-        root.state = TaskState.RUNNING
-        obs = self._obs
-        tracer = obs.tracer if obs is not None else None
-        try:
-            with task_scope(root):
-                handle = tracer.begin_span("run") if tracer is not None else None
-                try:
-                    result = fn(*args, **kwargs)
-                    root.state = TaskState.DONE
-                finally:
-                    if tracer is not None:
-                        tracer.end_span(handle, args={"task": root.name})
-        except BaseException:
-            root.state = TaskState.FAILED
-            raise
-        finally:
-            with self._all_done:
-                while self._outstanding:
-                    self._all_done.wait()
-                self._shutdown = True
-                count = self._worker_count
-            for _ in range(count):
-                self._queue.put(_SHUTDOWN)
-            if self._watchdog is not None:
-                self._watchdog.stop()
-            if self._owns_verifier:
-                self._verifier.close()
-            if self._journal is not None and self._owns_journal:
-                self._journal.close()
-        self._reap_unjoined()
-        return result
 
-    def fork(
-        self, fn: Callable[..., Any], *args: Any, retry: Optional[RetryPolicy] = None, **kwargs: Any
-    ) -> Future:
-        parent = require_current_task()
-        parent.cancel_token.raise_if_cancelled(parent)
-        obs = self._obs
-        if obs is not None:
-            _t0 = perf_counter_ns()
+    def _stop(self) -> None:
+        """Wait until every forked task has terminated (the top-level
+        implicit finish), then stop the pool and retire the watchdog."""
+        with self._all_done:
+            while self._outstanding:
+                self._all_done.wait()
+            self._shutdown = True
+            count = self._worker_count
+        for _ in range(count):
+            self._queue.put(_SHUTDOWN)
+        if self._watchdog is not None:
+            self._watchdog.stop()
+
+    def _schedule(self, item: tuple) -> None:
         with self._lock:
             if self._shutdown:
                 raise RuntimeStateError("runtime already shut down")
-        if retry is not None and parent.fork_lock is None:
-            # Retry re-forks race the parent's own forks; Section 5.1
-            # forbids concurrent AddChild calls on one parent.
-            parent.fork_lock = threading.Lock()
-        lock = parent.fork_lock
-        if lock is not None:
-            with lock:
-                vertex = self._verifier.on_fork(parent.vertex)
-        else:
-            vertex = self._verifier.on_fork(parent.vertex)
-        task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
-        future = Future(self, task)
-        if retry is not None:
-            future._retry = (retry, parent)
-        with self._all_done:
             self._outstanding += 1
-        self._queue.put((task, future, fn, args, kwargs))
-        if obs is not None:
-            dur = perf_counter_ns() - _t0
-            obs.fork_ns.observe(dur)
-            if obs.tracer is not None:
-                obs.tracer.complete(
-                    "fork",
-                    _t0,
-                    dur,
-                    args={"child": task.name, "parent": parent.name},
-                )
-        return future
+        self._queue.put(item)
 
-    # join / join_batch / _join_one are provided by SupervisedJoinMixin.
+    # fork / run / join / join_batch come from SupervisedJoinMixin.

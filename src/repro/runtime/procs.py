@@ -693,19 +693,15 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._tree: Optional[SharedFlatTree] = None
         self._sidecar_proc = None
         self._client = None
-        self._verifier: Optional[ShardVerifier] = None
-        self._hybrid = None  # no Armus across processes
-        self._journal = None
 
         import multiprocessing
 
         self._ctx = multiprocessing.get_context("spawn")
         self._result_q = self._ctx.Queue()
         self._workers: list[_WorkerHandle] = []
-        self._plock = threading.Lock()
+        self._lock = threading.Lock()
         self._inflight: dict[int, _Inflight] = {}
         self._rr = 0  # round-robin dispatch cursor
-        self._root_started = False
         self._stopping = threading.Event()
         self._collector: Optional[threading.Thread] = None
         self._monitor: Optional[threading.Thread] = None
@@ -747,14 +743,6 @@ class ProcessRuntime(SupervisedJoinMixin):
     # ------------------------------------------------------------------
     # introspection
     # ------------------------------------------------------------------
-    @property
-    def policy(self):
-        return self._verifier.policy if self._verifier is not None else None
-
-    @property
-    def verifier(self) -> Optional[ShardVerifier]:
-        return self._verifier
-
     @property
     def sidecar_url(self) -> Optional[str]:
         if self._client is not None:
@@ -809,7 +797,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         obs = self._obs
         if obs is not None:
             parts.append(label_snapshot(obs.snapshot(), process="parent"))
-        with self._plock:
+        with self._lock:
             live = [self._worker_metrics[i] for i in sorted(self._worker_metrics)]
             retired = self._fleet_retired
         parts.extend(live)
@@ -842,7 +830,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                     )
                 except Exception:  # noqa: BLE001 - join mid-wake
                     continue
-        with self._plock:
+        with self._lock:
             blocked = {i: list(v) for i, v in self._worker_blocked.items()}
         for index in sorted(blocked):
             for rec in blocked[index]:
@@ -854,7 +842,7 @@ class ProcessRuntime(SupervisedJoinMixin):
     def _introspection_snapshot(self) -> dict:
         """The stats payload the introspection plane serves to
         ``repro top --live`` (wire ``stats`` → ``stats_reply``)."""
-        with self._plock:
+        with self._lock:
             workers = [
                 {"index": w.index, "alive": w.alive, "pid": w.proc.pid}
                 for w in self._workers
@@ -874,7 +862,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         """Fold one worker telemetry push into the parent's fleet view."""
         metrics = obs_state.get("metrics")
         blocked = obs_state.get("blocked")
-        with self._plock:
+        with self._lock:
             if metrics is not None:
                 self._worker_metrics[index] = label_snapshot(
                     metrics, worker=str(index)
@@ -915,7 +903,7 @@ class ProcessRuntime(SupervisedJoinMixin):
             return self._sidecar_proc.url
         return spec
 
-    def _start_workers(self) -> None:
+    def _start(self) -> None:
         url = self._start_sidecar()
         if url is not None:
             from ..service.client import SessionClient
@@ -931,8 +919,13 @@ class ProcessRuntime(SupervisedJoinMixin):
         else:
             policy = WireSpawnPaths(0, self._nprocs)
             tree_handle = None
-        self._verifier = ShardVerifier(
-            policy, fail_mode=self._fail_mode, sidecar=self._client
+        # No Armus across processes: TJ-SP is pure avoidance here.
+        self._init_core(
+            policy,
+            fallback=False,
+            verifier=ShardVerifier(
+                policy, fail_mode=self._fail_mode, sidecar=self._client
+            ),
         )
         obs = self._obs
         telemetry_cfg = None
@@ -990,47 +983,13 @@ class ProcessRuntime(SupervisedJoinMixin):
             )
             self._introspect_server.start()
 
-    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
-        """Execute *fn* as the root task in the parent process.
-
-        The root runs in the calling thread and may use this runtime
-        directly (it shares the parent's address space); everything it
-        ``fork``\\ s is dispatched to the worker pool.
-        """
-        with self._plock:
-            if self._root_started:
-                raise RuntimeStateError(
-                    "this runtime already hosted a root task; create a fresh "
-                    "ProcessRuntime per program run"
-                )
-            self._root_started = True
-        self._start_workers()
+    def _root_vertex(self) -> int:
         vertex = self._verifier.on_init()
         self._verifier.announce_init(vertex)
         self._verifier.flush_announcements()
-        root = TaskHandle(vertex, code=fn, name="root")
-        root.state = TaskState.RUNNING
-        obs = self._obs
-        handle = None
-        if obs is not None and obs.tracer is not None:
-            # The root span anchors the distributed trace: dispatches
-            # under it capture its (trace, span) as their flow origin.
-            handle = obs.tracer.begin_span("run")
-        try:
-            with task_scope(root):
-                result = fn(*args, **kwargs)
-                root.state = TaskState.DONE
-        except BaseException:
-            root.state = TaskState.FAILED
-            raise
-        finally:
-            if handle is not None:
-                obs.tracer.end_span(handle, args={"task": "root"})
-            self._shutdown()
-        self._reap_unjoined()
-        return result
+        return vertex
 
-    def _shutdown(self) -> None:
+    def _stop(self) -> None:
         self._stopping.set()
         for w in self._workers:
             if w.alive:
@@ -1125,7 +1084,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         lineage = None
         if self.spawn_paths == "wire":
             lineage = self._verifier.policy.lineage(vertex)
-        with self._plock:
+        with self._lock:
             self.tasks_dispatched += 1
             worker = self._pick_worker_locked()
             if worker is None:
@@ -1156,7 +1115,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         return worker
 
     def _relay_cancel(self, vid: int) -> None:
-        with self._plock:
+        with self._lock:
             entry = self._inflight.get(vid)
             worker = self._workers[entry.worker] if entry is not None else None
         if worker is not None and worker.alive:
@@ -1209,21 +1168,19 @@ class ProcessRuntime(SupervisedJoinMixin):
         except (TypeError, ValueError, IndexError):
             self.orphan_results += 1
             return
-        with self._plock:
+        with self._lock:
             entry = self._inflight.pop(vid, None)
         if entry is None:
             self.orphan_results += 1  # redispatch raced a late result
             return
-        entry.future.task.state = (
-            TaskState.DONE if status == "ok" else TaskState.FAILED
-        )
         self.tasks_completed += 1
         if self._m_tasks is not None:
             self._m_tasks.inc()
+        future = entry.future
         if status == "ok":
-            entry.future._set_result(value)
+            self._settle(future.task, future, value)
         else:
-            entry.future._set_exception(value)
+            self._settle(future.task, future, exc=value)
 
     def _monitor_main(self) -> None:
         last_ping = time.monotonic()
@@ -1245,7 +1202,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                 self._client.ping()
 
     def _on_worker_death(self, worker: _WorkerHandle) -> None:
-        with self._plock:
+        with self._lock:
             if not worker.alive:
                 return
             worker.alive = False
@@ -1280,9 +1237,10 @@ class ProcessRuntime(SupervisedJoinMixin):
         if future.done():
             return
         if not self.redispatch or entry.attempts + 1 >= 3:
-            future.task.state = TaskState.FAILED
-            future._set_exception(
-                ReproError(f"worker process died while running task {vid}")
+            self._settle(
+                future.task,
+                future,
+                exc=ReproError(f"worker process died while running task {vid}"),
             )
             return
         # A fresh vertex under the original parent: the retry is a later
@@ -1294,12 +1252,13 @@ class ProcessRuntime(SupervisedJoinMixin):
         lineage = None
         if self.spawn_paths == "wire":
             lineage = self._verifier.policy.lineage(new_vid)
-        with self._plock:
+        with self._lock:
             worker = self._pick_worker_locked()
             if worker is None:
-                future.task.state = TaskState.FAILED
-                future._set_exception(
-                    ReproError("no live worker processes to redispatch to")
+                self._settle(
+                    future.task,
+                    future,
+                    exc=ReproError("no live worker processes to redispatch to"),
                 )
                 return
             self.tasks_redispatched += 1
@@ -1311,5 +1270,6 @@ class ProcessRuntime(SupervisedJoinMixin):
         # may be long gone, so the retry's run span roots its own tree.
         worker.dispatch_q.put((new_vid, entry.payload, lineage, None))
 
-    # join / join_batch / _join_one come from SupervisedJoinMixin, driving
-    # the parent's ShardVerifier exactly like TaskRuntime drives its own.
+    # run / join / join_batch come from SupervisedJoinMixin and JoinCore,
+    # driving the parent's ShardVerifier exactly like TaskRuntime drives
+    # its own.

@@ -285,8 +285,7 @@ class SimRuntime(CooperativeRuntime):
                 waiters.remove(task)
                 if not waiters:
                     del self._waiters[future]
-            if self._hybrid is not None:
-                self._hybrid.end_join(task, future.task)
+            self._abandon_join(task, future.task)
             self.timeouts_fired += 1
             task.state = TaskState.RUNNING
             task.exc = JoinTimeoutError(task, future.task, self.default_join_timeout)

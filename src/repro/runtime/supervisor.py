@@ -55,13 +55,20 @@ wakeup per drain instead of one blocked wait per future.  The harvest
 that follows replays the exact sequential verification protocol with
 every joinee already terminated.
 
-:class:`SupervisedJoinMixin` packages the shared join/join_batch
-protocol for :class:`~repro.runtime.threaded.TaskRuntime` and
-:class:`~repro.runtime.pool.WorkSharingRuntime`; the two runtimes
-differ only in the hooks (`_before_block`, `_wait_helper`,
-`_helper_tick`) the pool uses for worker compensation and
-help-while-blocked.  :func:`wait_for_future_polling` preserves the
-PR 2 poll-loop implementation as the measured baseline of
+The join protocol itself — the policy or Armus gate, KJ-learn, the
+journal's ``join`` and ``complete`` records — lives in
+:class:`~repro.runtime.core.JoinCore`, which every runtime shares.
+:class:`SupervisedJoinMixin` extends it for the runtimes that host tasks
+on OS threads (:class:`~repro.runtime.threaded.TaskRuntime`,
+:class:`~repro.runtime.pool.WorkSharingRuntime`,
+:class:`~repro.runtime.procs.ProcessRuntime`): joins that block their
+thread, ``join_batch``, retries, and the fork step, task-attempt step
+and root lifecycle.  The runtimes supply only
+scheduling hooks (``_schedule``, ``_start``, ``_stop``) and the hooks
+(``_before_block``, ``_wait_helper``, ``_helper_tick``) the pool uses
+for worker compensation and help-while-blocked.
+:func:`wait_for_future_polling` preserves the earlier poll-loop
+implementation as the measured baseline of
 ``benchmarks/bench_runtime_overhead.py``.
 """
 
@@ -71,26 +78,23 @@ import threading
 import time
 import warnings
 from time import perf_counter_ns
-from typing import Callable, List, Optional, Sequence, TYPE_CHECKING, Union
+from typing import Any, Callable, List, Optional, Sequence, Union
 
 from ..obs import active as _active_telemetry
 from ..errors import (
-    DeadlockAvoidedError,
     DeadlockDetectedError,
     JoinTimeoutError,
-    PolicyViolationError,
     RuntimeStateError,
     TaskCancelledError,
     TaskFailedError,
     UnjoinedTaskWarning,
 )
 from ..formal.deadlock import find_cycle
-from .context import require_current_task
-from .task import TaskState
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .future import Future
-    from .task import TaskHandle
+from .context import _tls, require_current_task, task_scope
+from .core import JoinCore
+from .future import Future
+from .retry import RetryPolicy
+from .task import TaskHandle, TaskState
 
 __all__ = [
     "BlockedJoin",
@@ -555,16 +559,14 @@ class _CountdownLatch:
             self._wake.set()
 
 
-class SupervisedJoinMixin:
-    """The shared supervised join protocol of the blocking runtimes.
+class SupervisedJoinMixin(JoinCore):
+    """What the thread-hosted runtimes share on top of :class:`JoinCore`:
+    supervision, ``join``/``join_batch``, and the fork step
+    (:meth:`fork`), task-attempt step (:meth:`_run_attempt`) and root
+    lifecycle (:meth:`run`), which call the hooks below.
 
-    Host classes must provide ``_hybrid`` (HybridVerifier or None) and
-    ``_verifier`` and call :meth:`_init_supervision` from ``__init__``.
-    They may override :meth:`_before_block` (called once when a join is
-    about to genuinely block), :meth:`_wait_helper` (returns the
-    after-wakeup work callback for the current thread, or None) and
-    :meth:`_helper_tick` (returns a predicate saying whether the blocked
-    wait currently needs to poll for helper work, or None).
+    Host classes call :meth:`_init_core` and :meth:`_init_supervision`
+    from ``__init__`` and override the hooks they need.
     """
 
     def _init_supervision(
@@ -646,6 +648,20 @@ class SupervisedJoinMixin:
     # ------------------------------------------------------------------
     # hooks for the concrete runtimes
     # ------------------------------------------------------------------
+    def _schedule(self, item: tuple) -> None:
+        """Hand a forked ``(task, future, fn, args, kwargs)`` to a thread."""
+        raise NotImplementedError
+
+    def _start(self) -> None:
+        """Called once before the root task starts."""
+
+    def _root_vertex(self) -> object:
+        """The root task's vertex (``Fork(null, f)`` in Algorithm 1)."""
+        return self._verifier.on_init()
+
+    def _stop(self) -> None:
+        """Called once after the root task returned or raised."""
+
     def _before_block(self, future: "Future") -> None:
         """Called once when a join is about to genuinely block."""
 
@@ -656,6 +672,124 @@ class SupervisedJoinMixin:
     def _helper_tick(self) -> Optional[Callable[[], bool]]:
         """Predicate: must the blocked wait poll for helper work now?"""
         return None
+
+    # ------------------------------------------------------------------
+    # the root lifecycle and the fork step
+    # ------------------------------------------------------------------
+    def run(self, fn: Callable[..., Any], *args: Any, **kwargs: Any) -> Any:
+        """Execute *fn* as the root task in the calling thread.
+
+        Returns *fn*'s result; exceptions propagate unchanged.  On exit
+        the runtime stops its workers and closes the verifier and journal
+        it opened itself; on a clean return, failures of never-joined
+        futures are surfaced per ``on_unjoined_failure``.
+        """
+        with self._lock:
+            self._claim_root()
+        self._start()
+        root = TaskHandle(self._root_vertex(), code=fn, name="root")
+        root.state = TaskState.RUNNING
+        obs = self._obs
+        tracer = obs.tracer if obs is not None else None
+        try:
+            with task_scope(root):
+                handle = tracer.begin_span("run") if tracer is not None else None
+                try:
+                    result = fn(*args, **kwargs)
+                finally:
+                    if tracer is not None:
+                        tracer.end_span(handle, args={"task": root.name})
+            root.state = TaskState.DONE
+        except BaseException:
+            root.state = TaskState.FAILED
+            raise
+        finally:
+            self._stop()
+            self._close_owned()
+        self._reap_unjoined()
+        return result
+
+    def fork(
+        self,
+        fn: Callable[..., Any],
+        *args: Any,
+        retry: Optional[RetryPolicy] = None,
+        **kwargs: Any,
+    ) -> "Future":
+        """``async fn(*args)``: start *fn* in a new task; return its Future.
+
+        Must be called from inside a task of this runtime (the forking task
+        determines the new vertex's parent).  Forking is a cancellation
+        point: a cancelled task faults here with
+        :class:`~repro.errors.TaskCancelledError` instead of growing the
+        tree further.
+
+        ``retry`` (a :class:`~repro.runtime.retry.RetryPolicy`) makes a
+        failing task body re-run with exponential backoff; each attempt
+        is a fresh fork policy-wise (new vertex under the same parent),
+        and the future only completes with the final attempt's outcome —
+        joiners block straight through intermediate failures.
+        """
+        parent = getattr(_tls, "task", None)
+        if parent is None:
+            parent = require_current_task()  # raises: not inside a task
+        if parent.cancel_token._cancelled:
+            raise TaskCancelledError(parent)
+        obs = self._obs
+        if obs is not None:
+            t0 = perf_counter_ns()
+        if retry is not None and parent.fork_lock is None:
+            # Retry re-forks run on whatever thread observed the failure
+            # and race the parent's own forks; Section 5.1 forbids two
+            # concurrent AddChild calls on one parent, so serialise them.
+            parent.fork_lock = threading.Lock()
+        lock = parent.fork_lock
+        if lock is not None:
+            with lock:
+                vertex = self._verifier.on_fork(parent.vertex)
+        else:
+            vertex = self._verifier.on_fork(parent.vertex)
+        task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
+        future = Future(self, task)
+        if retry is not None:
+            future._retry = (retry, parent)
+        self._schedule((task, future, fn, args, kwargs))
+        if obs is not None:
+            dur = perf_counter_ns() - t0
+            obs.fork_ns.observe(dur)
+            if obs.tracer is not None:
+                obs.tracer.complete(
+                    "fork", t0, dur, args={"child": task.name, "parent": parent.name}
+                )
+        return future
+
+    def _run_attempt(
+        self, task: "TaskHandle", future: "Future", fn, args: tuple, kwargs: dict
+    ) -> Optional[float]:
+        """Run one attempt of a task body in this thread; settle its future.
+
+        Returns the backoff delay when the attempt failed and a retry is
+        due — the future stays pending and the task already holds the
+        retry's fresh vertex — or None once the future is settled.
+        """
+        obs = self._obs
+        tracer = obs.tracer if obs is not None else None
+        with task_scope(task):
+            handle = tracer.begin_span("run") if tracer is not None else None
+            try:
+                value = fn(*args, **kwargs)
+            except BaseException as exc:  # noqa: BLE001 - delivered at join
+                task.state = TaskState.FAILED
+                delay = self._prepare_retry(future, exc)
+                if delay is None:
+                    self._settle(task, future, exc=exc)
+                return delay
+            else:
+                self._settle(task, future, value)
+                return None
+            finally:
+                if tracer is not None:
+                    tracer.end_span(handle, args={"task": task.name})
 
     # ------------------------------------------------------------------
     # failure bookkeeping (the unjoined-failure reaper)
@@ -693,7 +827,7 @@ class SupervisedJoinMixin:
             )
 
     # ------------------------------------------------------------------
-    # task retry (used by the runtimes' worker loops)
+    # task retry (used by _run_attempt)
     # ------------------------------------------------------------------
     def _prepare_retry(self, future: "Future", exc: BaseException) -> Optional[float]:
         """Decide whether a failed task body should be re-run.
@@ -735,7 +869,7 @@ class SupervisedJoinMixin:
         # happens-before this failure), so it is always present here.
         with parent.fork_lock:
             new_vertex = self._verifier.on_fork(parent.vertex)
-        detector = self._hybrid.detector if self._hybrid is not None else None
+        detector = self._gate.detector
         if detector is not None:
             for record in self._registry.snapshot():
                 if record.future is not future:
@@ -765,7 +899,7 @@ class SupervisedJoinMixin:
                     cat="task",
                     args={"task": task.name, "attempt": attempt, "error": repr(exc)},
                 )
-        journal = self._verifier.journal
+        journal = self._journal
         if journal is not None:
             journal.log_retry(old_vertex, new_vertex, attempt, repr(exc))
         return delay
@@ -786,7 +920,9 @@ class SupervisedJoinMixin:
         """Join one future; ``timeout`` overrides ``default_join_timeout``."""
         if future._runtime is not self:
             raise RuntimeStateError("future belongs to a different runtime")
-        joiner = require_current_task()
+        joiner = getattr(_tls, "task", None)
+        if joiner is None:
+            joiner = require_current_task()  # raises: not inside a task
         deadline, timeout_value = self._resolve_deadline(timeout)
         return self._join_one(joiner, future, None, deadline, timeout_value)
 
@@ -836,7 +972,9 @@ class SupervisedJoinMixin:
                 raise RuntimeStateError("future belongs to a different runtime")
         if not futures:
             return []
-        joiner = require_current_task()
+        joiner = getattr(_tls, "task", None)
+        if joiner is None:
+            joiner = require_current_task()  # raises: not inside a task
         deadline, timeout_value = self._resolve_deadline(timeout)
         if self._verifier.policy.stable_permits:
             # Vertex handles are opaque to the runtime; under the flat
@@ -868,16 +1006,12 @@ class SupervisedJoinMixin:
                 results.append(
                     self._join_one(joiner, future, flagged, deadline, timeout_value)
                 )
-            except TaskFailedError as exc:
-                exc.batch_index = index
-                if return_exceptions:
-                    results.append(exc)
-                    continue
-                if cancel_remaining:
-                    for later in futures[index + 1 :]:
-                        later.cancel()
-                raise
-            except BaseException:
+            except BaseException as exc:
+                if isinstance(exc, TaskFailedError):
+                    exc.batch_index = index
+                    if return_exceptions:
+                        results.append(exc)
+                        continue
                 if cancel_remaining:
                     for later in futures[index + 1 :]:
                         later.cancel()
@@ -921,7 +1055,7 @@ class SupervisedJoinMixin:
         registry = self._registry
         for record in records:
             registry.add(record)
-        journal = self._verifier.journal
+        journal = self._journal
         # Edge keys are captured once so the unblock below pairs exactly
         # with the block even if a retry re-points a vertex mid-wait.
         journal_edges = (
@@ -983,21 +1117,7 @@ class SupervisedJoinMixin:
             for a, b in journal_edges:
                 journal.log_unblock(a, b)
             if obs is not None:
-                tracer = obs.tracer
-                if tracer is not None:
-                    tracer.instant("wake", cat="join", args={"task": joiner.name})
-                dur = perf_counter_ns() - t0
-                obs.blocked_wait_ns.observe(dur)
-                obs.blocked_waits.inc()
-                obs.wakeups.inc(rounds)
-                if tracer is not None:
-                    tracer.complete(
-                        "block",
-                        t0,
-                        dur,
-                        cat="join",
-                        args={"task": joiner.name, "batch": len(pending)},
-                    )
+                _observe_block(obs, t0, rounds, joiner, {"batch": len(pending)})
 
     def _join_one(
         self,
@@ -1008,92 +1128,43 @@ class SupervisedJoinMixin:
         timeout_value: Optional[float] = None,
     ):
         """Join one future; ``flagged`` is a precomputed verdict or None."""
-        joiner.cancel_token.raise_if_cancelled(joiner)
+        if joiner.cancel_token._cancelled:
+            raise TaskCancelledError(joiner)
         joinee = future.task
-        journal = self._verifier.journal
-        if self._hybrid is not None:
-            joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
-            try:
-                blocked = self._hybrid.begin_join(
-                    joiner,
-                    joinee,
-                    joiner_vertex,
-                    joinee_vertex,
-                    joinee_done=future.done(),
-                    flagged=flagged,
-                )
-            except DeadlockAvoidedError:
-                if journal is not None:
-                    journal.log_avoided(joiner_vertex, joinee_vertex)
-                raise
-            if blocked:
-                if journal is not None:
-                    journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
-                self._before_block(future)
-                prev_state = joiner.state
-                joiner.state = TaskState.BLOCKED
-                try:
-                    self._supervised_wait(joiner, future, deadline, timeout_value)
-                finally:
-                    self._hybrid.end_join(joiner, joinee)
-                    joiner.state = prev_state
-                    if journal is not None:
-                        journal.log_unblock(joiner_vertex, joinee_vertex)
-            self._hybrid.on_join_completed(joiner.vertex, joinee.vertex)
-            if journal is not None:
-                journal.log_join(joiner_vertex, joinee_vertex)
-        else:
-            if flagged is None:
-                self._verifier.require_join(joiner.vertex, joinee.vertex)
-            elif flagged:
-                raise PolicyViolationError(
-                    self._verifier.policy.name, joiner.vertex, joinee.vertex
-                )
-            if not future.done():
-                joiner_vertex, joinee_vertex = joiner.vertex, joinee.vertex
-                if journal is not None:
-                    journal.log_block(joiner_vertex, joinee_vertex, timeout=timeout_value)
-                self._before_block(future)
-                prev_state = joiner.state
-                joiner.state = TaskState.BLOCKED
-                try:
-                    self._supervised_wait(joiner, future, deadline, timeout_value)
-                finally:
-                    joiner.state = prev_state
-                    if journal is not None:
-                        journal.log_unblock(joiner_vertex, joinee_vertex)
-            self._verifier.on_join_completed(joiner.vertex, joinee.vertex)
-            if journal is not None:
-                journal.log_join(joiner.vertex, joinee.vertex)
-        future._joined = True
-        return future._result_now()
+        if not self._gate_join(joiner, joinee, future._done, flagged):
+            return self._finish_join(joiner, future)
+        try:
+            self._block(joiner, future, deadline, timeout_value)
+        except BaseException:
+            self._abandon_join(joiner, joinee)
+            raise
+        return self._finish_join(joiner, future, True)
 
-    def _supervised_wait(
+    def _block(
         self,
         joiner: "TaskHandle",
         future: "Future",
         deadline: Optional[float],
         timeout_value: Optional[float],
     ) -> None:
-        # Module-level lookup on purpose: the runtime-overhead benchmark
-        # swaps in wait_for_future_polling to measure the old protocol.
+        """The supervised wait of one pending join.
+
+        The journal edge is captured once, so the unblock pairs with the
+        block even if a retry re-points the joinee's vertex mid-wait.
+        """
+        journal = self._journal
+        edge = (joiner.vertex, future.task.vertex)
+        if journal is not None:
+            journal.log_block(*edge, timeout=timeout_value)
+        self._before_block(future)
+        prev_state = joiner.state
+        joiner.state = TaskState.BLOCKED
         obs = self._obs
-        if obs is None:
-            wait_for_future(
-                future,
-                joiner,
-                registry=self._registry,
-                watchdog=self._watchdog,
-                deadline=deadline,
-                timeout_value=timeout_value,
-                helper=self._wait_helper(),
-                helper_tick=self._helper_tick(),
-                clock=self._clock,
-            )
-            return
-        t0 = perf_counter_ns()
+        t0 = perf_counter_ns() if obs is not None else 0
         wakeups = 0
         try:
+            # Module-level lookup on purpose: the runtime-overhead benchmark
+            # swaps in wait_for_future_polling to measure the old protocol.
             wakeups = wait_for_future(
                 future,
                 joiner,
@@ -1106,20 +1177,26 @@ class SupervisedJoinMixin:
                 clock=self._clock,
             )
         finally:
-            tracer = obs.tracer
-            if tracer is not None:
-                # wake lands inside the block span: its timestamp is
-                # taken before the span's end below.
-                tracer.instant("wake", cat="join", args={"task": joiner.name})
-            dur = perf_counter_ns() - t0
-            obs.blocked_wait_ns.observe(dur)
-            obs.blocked_waits.inc()
-            obs.wakeups.inc(wakeups or 0)
-            if tracer is not None:
-                tracer.complete(
-                    "block",
-                    t0,
-                    dur,
-                    cat="join",
-                    args={"task": joiner.name, "joinee": future.task.name},
-                )
+            joiner.state = prev_state
+            if journal is not None:
+                journal.log_unblock(*edge)
+            if obs is not None:
+                _observe_block(obs, t0, wakeups, joiner, {"joinee": future.task.name})
+
+
+def _observe_block(obs, t0: int, wakeups: int, joiner: "TaskHandle", args: dict) -> None:
+    """Telemetry of one blocked wait: the wake instant, the wait
+    histogram and counters, and the ``block`` span."""
+    tracer = obs.tracer
+    if tracer is not None:
+        # wake lands inside the block span: its timestamp is taken
+        # before the span's end below.
+        tracer.instant("wake", cat="join", args={"task": joiner.name})
+    dur = perf_counter_ns() - t0
+    obs.blocked_wait_ns.observe(dur)
+    obs.blocked_waits.inc()
+    obs.wakeups.inc(wakeups)
+    if tracer is not None:
+        tracer.complete(
+            "block", t0, dur, cat="join", args={"task": joiner.name, **args}
+        )

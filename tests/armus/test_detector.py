@@ -105,10 +105,10 @@ class TestVacuousFalsePositives:
         from repro.core.policy import POLICY_REGISTRY
 
         hybrid = HybridVerifier(POLICY_REGISTRY["TJ-SP"]())
-        root = hybrid.on_init()
-        child = hybrid.on_fork(root)
+        root = hybrid.verifier.on_init()
+        child = hybrid.verifier.on_fork(root)
         # older sibling joining a younger one: TJ flags it
-        younger = hybrid.on_fork(root)
+        younger = hybrid.verifier.on_fork(root)
         blocked = hybrid.begin_join("child", "younger", child, younger, joinee_done=True)
         assert blocked is False
         assert hybrid.detector.stats.false_positives == 1

@@ -14,8 +14,8 @@ from repro.kj import KJSnapshotSets
 class TestHybridVerifier:
     def test_permitted_join_no_fallback_activity(self):
         h = HybridVerifier(TJSpawnPaths())
-        root_v = h.on_init()
-        child_v = h.on_fork(root_v)
+        root_v = h.verifier.on_init()
+        child_v = h.verifier.on_fork(root_v)
         blocked = h.begin_join("root", "child", root_v, child_v, joinee_done=False)
         assert blocked
         assert h.detector.stats.false_positives == 0
@@ -24,8 +24,8 @@ class TestHybridVerifier:
 
     def test_flagged_join_on_done_task_is_vacuous_false_positive(self):
         h = HybridVerifier(TJSpawnPaths())
-        root_v = h.on_init()
-        child_v = h.on_fork(root_v)
+        root_v = h.verifier.on_init()
+        child_v = h.verifier.on_fork(root_v)
         # child joining root is TJ-invalid, but the root has "terminated"
         blocked = h.begin_join("child", "root", child_v, root_v, joinee_done=True)
         assert not blocked

@@ -80,8 +80,8 @@ class TestConcurrentVerifierStress:
         """Hammer begin/end join cycles from many threads; counters stay
         exact and the waits-for graph drains to empty."""
         hybrid = HybridVerifier(make_policy("TJ-SP"))
-        root = hybrid.on_init()
-        children = [hybrid.on_fork(root) for _ in range(8)]
+        root = hybrid.verifier.on_init()
+        children = [hybrid.verifier.on_fork(root) for _ in range(8)]
         iterations = 300
 
         def worker(i):
