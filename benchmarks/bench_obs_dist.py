@@ -2,8 +2,9 @@
 
 Runs the multi-process soak shape (ProcessRuntime + sidecar) twice per
 repetition — telemetry disabled vs the full distributed stack (trace
-context on every dispatch frame, worker metrics pushes, sidecar span
-ring shipped home, everything merged in the parent) — and asserts:
+context on every dispatch frame, worker metrics pushes, the observing
+sidecar's span ring shipped home, everything merged in the parent) —
+and asserts:
 
 * the on/off median-time factor stays **≤ 1.25×**: the distributed
   plane must be cheap enough to leave on in production runs;

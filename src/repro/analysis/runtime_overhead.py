@@ -190,7 +190,7 @@ SMOKE_SERVICE_PARAMS: dict[str, int] = {"joins": 10_000, "width": 32, "batch": 6
 #: multi-process soak: *dispatches* subtrees cross the process boundary,
 #: each forking *mids* in-worker tasks that each fork *leaves* leaves —
 #: the fork-heavy deep shape where >90% of joins stay on the worker-local
-#: shard (only the dispatched task's own joins escalate).  Total verified
+#: shard (only the dispatched task's own joins are cross-process).  Total verified
 #: tasks = dispatches x (1 + mids + mids*leaves); the full parameters put
 #: that above one million across >=4 workers.  *spin* is per-leaf integer
 #: work so the baseline is GIL-bound compute, not pure scheduler churn.
@@ -857,8 +857,9 @@ def run_procs_soak(
     throughput for both arms plus the merged join-resolution split.  The
     shape is the local-fast-path design point: of each subtree's
     ``mids + mids*leaves`` joins only the ``mids`` performed by the
-    dispatched task itself escalate, so >90% of joins resolve on the
-    worker-local shard without synchronisation.
+    dispatched task itself are cross-process, so >90% of joins have a
+    joiner forked in the same process.  Every join, cross-process ones
+    included, is decided in-process without synchronisation.
     """
     import os
 

@@ -64,9 +64,9 @@ import threading
 import time
 from contextlib import contextmanager
 from contextlib import nullcontext as _nullcontext
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .policy import JoinPolicy
+from .tj_sp_rows import RowsTJPolicy
 
 try:  # pragma: no cover - always present on CPython >= 3.8
     from multiprocessing import resource_tracker, shared_memory
@@ -319,49 +319,20 @@ class SharedFlatTree:
         return vid
 
     # ------------------------------------------------------------------
-    # Algorithm 3 ``Less`` over the shared rows
-    # ------------------------------------------------------------------
-    def less(self, a: int, b: int) -> bool:
-        if a == b:
-            return False
-        locate = self._locate
-        sa, oa = locate(a)
-        sb, ob = locate(b)
-        d1 = sa.depth[oa]
-        d2 = sb.depth[ob]
-        e1 = e2 = -1
-        while d2 > d1:
-            e2 = sb.edge[ob]
-            b = sb.parent[ob]
-            sb, ob = locate(b)
-            d2 -= 1
-        while d1 > d2:
-            e1 = sa.edge[oa]
-            a = sa.parent[oa]
-            sa, oa = locate(a)
-            d1 -= 1
-        while a != b:
-            e1 = sa.edge[oa]
-            e2 = sb.edge[ob]
-            a = sa.parent[oa]
-            b = sb.parent[ob]
-            sa, oa = locate(a)
-            sb, ob = locate(b)
-        if e1 < 0:
-            return e2 >= 0  # anc+: a proper ancestor is permitted
-        if e2 < 0:
-            return False  # dec*: a descendant never is
-        return e1 > e2  # sib: the later sibling is smaller
-
-    # ------------------------------------------------------------------
     def depth_of(self, vid: int) -> int:
         seg, off = self._locate(vid)
         return seg.depth[off]
 
     def row_of(self, vid: int) -> tuple[int, int, int]:
-        """``(parent, edge, depth)`` of *vid* — the placement the sidecar
-        announcements carry (roots report parent -1)."""
-        seg, off = self._locate(vid)
+        """``(parent, edge, depth)`` of *vid* — the row every verdict
+        reads (roots report parent -1).  :meth:`_locate` is inlined,
+        attached segments first: every step of a verdict walk lands here."""
+        k = (vid // self.handle_tuple.seg0 + 1).bit_length() - 1
+        segs = self._segs
+        seg = segs[k] if k < len(segs) else None
+        if seg is None:
+            seg = self._segment(k)
+        off = vid - seg.start
         return seg.parent[off], seg.edge[off], seg.depth[off]
 
     def path_of(self, vid: int) -> tuple[int, ...]:
@@ -421,16 +392,17 @@ class SharedFlatTree:
         return False
 
 
-class SharedTJPolicy(JoinPolicy):
+class SharedTJPolicy(RowsTJPolicy):
     """Transitive Joins over a :class:`SharedFlatTree` (``TJ-SP-shm``).
 
-    The same Algorithm 3 verdicts as the flat TJ-SP policy, but every
-    process in the runtime sees one forest: a vertex handle is a
-    globally unique int id, valid (and identically interpreted) in the
-    parent, every worker, and on the sidecar wire.  The monotone
-    ``last_ok`` permission cache stays *process-local* — shared caches
-    would need cross-process atomicity the verdicts themselves never
-    need, since TJ verdicts are fixed at fork time.
+    The rows-based Algorithm 3 verdicts of
+    :class:`~repro.core.tj_sp_rows.RowsTJPolicy`, read straight from the
+    shared segments, so every process in the runtime sees one forest: a
+    vertex handle is a globally unique int id, valid (and identically
+    interpreted) in the parent, every worker, and on the sidecar wire.
+    The monotone ``last_ok`` permission cache stays *process-local* —
+    shared caches would need cross-process atomicity the verdicts
+    themselves never need, since TJ verdicts are fixed at fork time.
 
     Not in the policy registry: an instance is bound to a live shared
     forest, so the :class:`~repro.runtime.procs.ProcessRuntime`
@@ -439,26 +411,13 @@ class SharedTJPolicy(JoinPolicy):
 
     name = "TJ-SP-shm"
     backend = "shm"
-    stable_permits = True
 
     def __init__(self, tree: SharedFlatTree) -> None:
+        super().__init__(tree.row_of)
         self.tree = tree
-        self._last_ok: dict[int, int] = {}
 
     def add_child(self, parent: Optional[int]) -> int:
         return self.tree.add_child(-1 if parent is None else parent)
-
-    def permits(self, joiner: int, joinee: int) -> bool:
-        if self._last_ok.get(joiner) == joinee:
-            return True
-        if self.tree.less(joiner, joinee):
-            self._last_ok[joiner] = joinee
-            return True
-        return False
-
-    def permits_many(self, joiner: int, joinees: Sequence[int]) -> list[bool]:
-        permits = self.permits
-        return [permits(joiner, joinee) for joinee in joinees]
 
     def space_units(self) -> int:
         """4 slots per vertex *this process* created, plus the cache.
@@ -470,7 +429,3 @@ class SharedTJPolicy(JoinPolicy):
 
     def path_of(self, vid: int) -> tuple[int, ...]:
         return self.tree.path_of(vid)
-
-    def placement(self, vid: int) -> tuple[int, int, int]:
-        """``(parent, edge, depth)`` — what a sidecar announcement needs."""
-        return self.tree.row_of(vid)

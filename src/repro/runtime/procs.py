@@ -32,28 +32,29 @@ one of two representations, chosen by ``spawn_paths``:
   ``(vid, parent, edge, depth)`` rows — so the worker can verify
   locally against paths alone.
 
-Join resolution — the local shard and the escalation rule
----------------------------------------------------------
-Each process runs a :class:`ShardVerifier`: joins whose joiner was
-**forked in this process** resolve against the process-local shard with
-no synchronisation at all (the expected >90% fast path — a task joins
-the children it forked).  A join whose joiner's vertex was forked in
-*another* process (the dispatched task joining its own subtasks is the
-canonical case) is a **cross-process edge** and escalates to the shared
-verification sidecar (``repro serve``): every process holds one
-:class:`~repro.service.client.SessionClient` session multiplexed under
-one tenant, announces exactly the vertices that can appear on
-cross-process edges (with their authoritative edge/depth placement),
-and asks the sidecar's tenant mirror for the verdict via the existing
-``check``/``check_batch`` wire vocabulary.
+Join resolution — every join is decided in its own process
+-----------------------------------------------------------
+Each process runs a :class:`ShardVerifier`: the plain
+:class:`~repro.core.verifier.Verifier` over that process's view of the
+spawn paths, plus locality counting.  TJ-SP verdicts are fixed at fork
+time and follow from the fork tree alone (the LCA and sibling edges,
+Thms 3.15/3.17), and every process already holds the rows of every
+vertex it can join — the shared forest, or the lineage its dispatch
+shipped — so no join ever leaves the process that runs it.  A join
+whose joiner was **forked in this process** counts as local (the
+expected >90% case: a task joins the children it forked); one whose
+joiner was forked in *another* process (the dispatched task joining its
+own subtasks is the canonical case) counts as a **cross-process** join.
+Both take the same path through the shard's own policy.
 
-Degradation is sound by construction: TJ-SP verdicts depend only on the
-fork tree, which every process can already see (shared memory) or
-reconstruct (shipped lineages) — so when the sidecar dies mid-run the
-:class:`~repro.service.client.SessionClient` degrades permanently and
-the shard answers escalated checks from the local authority instead,
-counting every such resolution.  Nothing blocks, nothing is unsound;
-the sidecar is an arbiter and an observer, not the source of truth.
+The sidecar (``sidecar=``) only observes.  The parent's one
+:class:`~repro.service.client.SessionClient` session announces the root
+and every dispatched vertex with its authoritative edge/depth placement,
+keeps the connection alive, and at shutdown pulls the sidecar's stats
+(and, with tracing on, its span ring).  A tenant client that lacks the
+tree can therefore still ask the sidecar about the dispatch tree; the
+runtime itself never asks it anything, and a dead sidecar changes no
+verdict.
 
 Worker death (at-least-once redispatch)
 ---------------------------------------
@@ -96,11 +97,11 @@ from ..core.shared_tree import (
     SharedTreeHandle,
     shm_available,
 )
+from ..core.tj_sp_rows import RowsTJPolicy
 from ..core.verifier import Verifier
 from ..errors import ReproError, RuntimeStateError
 from ..obs.metrics import CounterGroup, label_snapshot, merge_snapshots
 from ..obs.tracing import current_trace_context, flow_id
-from ..service.mirror import MirroredSpawnPaths
 
 __all__ = ["ProcessRuntime", "ShardVerifier", "WireSpawnPaths"]
 
@@ -123,21 +124,22 @@ _CLIENT_PING_EVERY = 1.0
 # ----------------------------------------------------------------------
 # wire-mode spawn paths: DePa-style rows, striped id allocation
 # ----------------------------------------------------------------------
-class WireSpawnPaths(MirroredSpawnPaths):
+class WireSpawnPaths(RowsTJPolicy):
     """Per-process TJ-SP path store for the no-shared-memory fallback.
 
-    Same Algorithm 3 verdicts as the mirror policy it extends, but ids
-    are *allocated* here (striped per process, like the shared tree:
-    process ``r`` of ``n`` owns ids ``r, r+n, r+2n, ...``), and remote
-    lineages arrive via :meth:`adopt` — the compact
+    The rows-based Algorithm 3 verdicts of
+    :class:`~repro.core.tj_sp_rows.RowsTJPolicy` over a private row
+    dict.  Ids are *allocated* here (striped per process, like the
+    shared tree: process ``r`` of ``n`` owns ids ``r, r+n, r+2n, ...``),
+    and remote lineages arrive via :meth:`adopt` — the compact
     ``(vid, parent, edge, depth)`` row lists a dispatch ships.
     """
 
+    name = "TJ-SP-wire"
     backend = "wire"
 
     def __init__(self, region: int, nprocs: int) -> None:
-        super().__init__("TJ-SP")
-        self.name = "TJ-SP-wire"
+        super().__init__()
         self._next = region
         self._step = nprocs
         self._children: dict[int, int] = {}
@@ -172,37 +174,21 @@ class WireSpawnPaths(MirroredSpawnPaths):
 # ----------------------------------------------------------------------
 # the per-process verifier shard
 # ----------------------------------------------------------------------
-_SHARD_FIELDS = ("local_joins", "cross_joins", "degraded_joins", "announced")
+_SHARD_FIELDS = ("local_joins", "cross_joins")
 
 
 class ShardVerifier(Verifier):
-    """A :class:`Verifier` with the local-fast-path / escalation split.
+    """A :class:`Verifier` that counts where each join's joiner was forked.
 
-    * Both endpoints forked in this process → the plain local verifier
-      path (policy verdict, stats, quarantine boundary) — no I/O.
-    * Joiner forked elsewhere (a cross-process edge) → escalate to the
-      sidecar session when one is attached and healthy; on degradation
-      (or with no sidecar at all) resolve against the local authority —
-      sound, because the spawn paths of both endpoints are locally
-      visible by construction — and count the degraded resolution.
-
-    Vertices that can become cross-process joinees (children forked
-    under a remotely-forked parent) are announced to the sidecar with
-    their authoritative ``(edge, depth)`` placement as they are created;
-    the dispatching runtime announces the dispatched vertices
-    themselves.
+    Every join takes the plain verifier path (policy verdict, stats,
+    quarantine boundary) in this process — no I/O.  A joiner forked here
+    makes it a local join; a joiner forked elsewhere (adopted from a
+    dispatch) makes it a cross-process join, decided all the same from
+    the shared rows or the shipped lineage.
     """
 
-    def __init__(
-        self,
-        policy,
-        *,
-        fail_mode: str = "raise",
-        sidecar=None,
-        journal=None,
-    ) -> None:
+    def __init__(self, policy, *, fail_mode: str = "raise", journal=None) -> None:
         super().__init__(policy, fail_mode=fail_mode, journal=journal)
-        self.sidecar = sidecar
         self._local: set[int] = set()
         self._procs_events = CounterGroup(_SHARD_FIELDS)
 
@@ -219,34 +205,19 @@ class ShardVerifier(Verifier):
         In wire mode *rows* carries the shipped lineage; in shm mode the
         shared forest already has the rows and there is nothing to copy.
         Adopted vertices stay outside the local set on purpose: joins
-        from them are cross-process edges and must escalate.
+        from them count as cross-process.
         """
         if rows is not None:
             self.policy.adopt(rows)
 
-    # -- announcements --------------------------------------------------
-    def _announce(self, kind: str, vid: int) -> None:
-        client = self.sidecar
-        if client is None:
-            return
-        if kind == "init":
-            client.init(vid)
+    def _count(self, joiner, n: int) -> None:
+        cell = self._procs_events.cell()
+        if joiner in self._local:
+            cell.local_joins += n
         else:
-            parent, edge, depth = self.policy.placement(vid)
-            client.fork(parent, vid, edge, depth)
-        self._procs_events.cell().announced += 1
+            cell.cross_joins += n
 
-    def announce_init(self, vid: int) -> None:
-        self._announce("init", vid)
-
-    def announce_fork(self, vid: int) -> None:
-        self._announce("fork", vid)
-
-    def flush_announcements(self) -> None:
-        if self.sidecar is not None:
-            self.sidecar.flush()
-
-    # -- fork: track locality, announce escalation-relevant vertices ----
+    # -- fork: track locality -------------------------------------------
     def on_init(self):
         vertex = super().on_init()
         if isinstance(vertex, int):
@@ -257,77 +228,21 @@ class ShardVerifier(Verifier):
         vertex = super().on_fork(parent)
         if isinstance(vertex, int):
             self._local.add(vertex)
-            if parent not in self._local:
-                # A child of a remotely-forked task: the one shape that
-                # can appear as the joinee of a cross-process edge.
-                self._announce("fork", vertex)
         return vertex
 
-    def _flow_escalation(self, client) -> None:
-        """Flow-start for an escalated check: pairs with the sidecar's
-        ``join_check`` flow-finish, drawing the arrow from the joining
-        span's track to the sidecar's.  The ambient trace context is the
-        same one the client stamps on the wire record."""
-        obs = self._obs
-        if client is None or obs is None or obs.tracer is None:
-            return
-        tctx = current_trace_context()
-        if tctx is not None:
-            obs.tracer.flow("s", "join_check", flow_id(tctx))
-
-    # -- join: the fast path / escalation split -------------------------
+    # -- join: count locality, decide here ------------------------------
+    # Quarantined placeholders (non-int vertices) are not counted: the
+    # base verifier owns their degraded semantics.
     def check_join(self, joiner, joinee) -> bool:
-        if not isinstance(joiner, int) or not isinstance(joinee, int):
-            # Quarantined placeholders: the base verifier owns degraded
-            # semantics.
-            return super().check_join(joiner, joinee)
-        if joiner in self._local:
-            self._procs_events.cell().local_joins += 1
-            return super().check_join(joiner, joinee)
-        cell = self._procs_events.cell()
-        cell.cross_joins += 1
-        client = self.sidecar
-        self._flow_escalation(client)
-        verdict = client.check(joiner, joinee) if client is not None else None
-        if verdict is None:
-            cell.degraded_joins += 1
-            return super().check_join(joiner, joinee)
-        shard = self._shard()
-        shard.joins_checked += 1
-        if not verdict:
-            shard.joins_rejected += 1
-        if self.journal is not None:
-            self.journal.log_verdict(joiner, joinee, verdict)
-        return verdict
+        if isinstance(joiner, int) and isinstance(joinee, int):
+            self._count(joiner, 1)
+        return super().check_join(joiner, joinee)
 
     def check_joins(self, joiner, joinees) -> list[bool]:
         joinees = list(joinees)
-        if not joinees:
-            return []
-        if not isinstance(joiner, int) or any(
-            not isinstance(j, int) for j in joinees
-        ):
-            return super().check_joins(joiner, joinees)
-        if joiner in self._local:
-            self._procs_events.cell().local_joins += len(joinees)
-            return super().check_joins(joiner, joinees)
-        cell = self._procs_events.cell()
-        cell.cross_joins += len(joinees)
-        client = self.sidecar
-        self._flow_escalation(client)
-        verdicts = (
-            client.check_batch(joiner, joinees) if client is not None else None
-        )
-        if verdicts is None:
-            cell.degraded_joins += len(joinees)
-            return super().check_joins(joiner, joinees)
-        shard = self._shard()
-        shard.joins_checked += len(verdicts)
-        shard.joins_rejected += verdicts.count(False)
-        if self.journal is not None:
-            for joinee, ok in zip(joinees, verdicts):
-                self.journal.log_verdict(joiner, joinee, ok)
-        return verdicts
+        if isinstance(joiner, int) and all(isinstance(j, int) for j in joinees):
+            self._count(joiner, len(joinees))
+        return super().check_joins(joiner, joinees)
 
 
 # ----------------------------------------------------------------------
@@ -408,8 +323,6 @@ def _worker_stats(engine: _WorkerEngine, shard: ShardVerifier, done: int) -> dic
     }
     stats.update(shard.procs_stats())
     stats.update(shard.stats.snapshot())
-    if shard.sidecar is not None:
-        stats["sidecar_degraded"] = int(shard.sidecar.degraded)
     return stats
 
 
@@ -476,19 +389,7 @@ def _worker_main(cfg: dict) -> None:
             policy = SharedTJPolicy(tree)
         else:
             policy = WireSpawnPaths(cfg["region"], cfg["nprocs"])
-
-        client = None
-        if cfg["sidecar_url"] is not None:
-            from ..service.client import SessionClient
-
-            client = SessionClient(
-                cfg["sidecar_url"],
-                f"{cfg['run_id']}-w{index}",
-                tenant=cfg["run_id"],
-            )
-            client.connect()  # failure leaves it degraded: local fallback
-
-        shard = ShardVerifier(policy, fail_mode=cfg["fail_mode"], sidecar=client)
+        shard = ShardVerifier(policy, fail_mode=cfg["fail_mode"])
         engine = _WorkerEngine(shard)
 
     stop = threading.Event()
@@ -561,8 +462,6 @@ def _worker_main(cfg: dict) -> None:
             push_stats()
         except Exception:  # noqa: BLE001 - parent may already be gone
             pass
-        if client is not None:
-            client.close()
         if tree is not None:
             tree.close()
 
@@ -623,11 +522,12 @@ class ProcessRuntime(SupervisedJoinMixin):
         stores with shipped lineages; ``"auto"`` (default) picks shm
         where the platform has it.
     sidecar:
-        ``None`` — no sidecar: cross-process edges resolve against the
-        local authority from the start (counted as degraded);
-        ``"auto"`` — spawn a private ``repro serve`` on an ephemeral
-        port and point every process at it; a ``remote://host:port``
-        URL — use an existing sidecar.
+        An observer of the dispatch tree; joins never consult it.
+        ``None`` — no sidecar; ``"auto"`` — spawn a private ``repro
+        serve`` on an ephemeral port; a ``remote://host:port`` URL — use
+        an existing sidecar.  The parent announces the root and every
+        dispatched vertex under the tenant :attr:`run_id`, so a tenant
+        client can ask the sidecar about them.
     redispatch:
         When True (default) a dead worker's in-flight tasks are re-run
         on surviving workers under fresh vertices (at-least-once);
@@ -750,7 +650,13 @@ class ProcessRuntime(SupervisedJoinMixin):
         return None
 
     def join_stats(self) -> dict:
-        """Merged local/cross/degraded join counts across all processes."""
+        """Merged local/cross join counts across all processes.
+
+        Every join is decided in its own process, so ``degraded_joins``
+        is always 0 and ``escalation_ratio`` is the cross-process share
+        of all joins.  Both keys stay under these names because the
+        benchmark (``perfbench``) reads them.
+        """
         out = {f: 0 for f in _SHARD_FIELDS}
         sources = [self._verifier.procs_stats()] if self._verifier else []
         sources += list(self._worker_stats.values())
@@ -758,6 +664,7 @@ class ProcessRuntime(SupervisedJoinMixin):
             for field in _SHARD_FIELDS:
                 out[field] += stats.get(field, 0)
         checked = out["local_joins"] + out["cross_joins"]
+        out["degraded_joins"] = 0
         out["escalation_ratio"] = out["cross_joins"] / checked if checked else 0.0
         return out
 
@@ -894,8 +801,8 @@ class ProcessRuntime(SupervisedJoinMixin):
             kwargs: dict = {}
             if obs is not None:
                 # A telemetry-enabled run wants the private sidecar in
-                # the same distributed trace: its join_check spans ship
-                # home via the stats reply at shutdown.
+                # the same distributed trace: its spans (tenant clients'
+                # join_check) ship home via the stats reply at shutdown.
                 kwargs["obs"] = True
                 if obs.tracer is not None:
                     kwargs["trace_id"] = obs.tracer.trace_id
@@ -923,9 +830,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         self._init_core(
             policy,
             fallback=False,
-            verifier=ShardVerifier(
-                policy, fail_mode=self._fail_mode, sidecar=self._client
-            ),
+            verifier=ShardVerifier(policy, fail_mode=self._fail_mode),
         )
         obs = self._obs
         telemetry_cfg = None
@@ -950,8 +855,6 @@ class ProcessRuntime(SupervisedJoinMixin):
                 "region": i + 1,
                 "nprocs": self._nprocs,
                 "tree_handle": tree_handle,
-                "sidecar_url": url,
-                "run_id": self.run_id,
                 "fail_mode": self._fail_mode,
                 "dispatch_q": dispatch_q,
                 "result_q": self._result_q,
@@ -985,9 +888,21 @@ class ProcessRuntime(SupervisedJoinMixin):
 
     def _root_vertex(self) -> int:
         vertex = self._verifier.on_init()
-        self._verifier.announce_init(vertex)
-        self._verifier.flush_announcements()
+        self._announce(vertex)
         return vertex
+
+    def _announce(self, vertex: int) -> None:
+        """Mirror one dispatch-tree vertex on the sidecar, with its
+        authoritative placement, for tenant clients that lack the tree."""
+        client = self._client
+        if client is None:
+            return
+        parent, edge, depth = self._verifier.policy.row_of(vertex)
+        if parent < 0:
+            client.init(vertex)
+        else:
+            client.fork(parent, vertex, edge, depth)
+        client.flush()
 
     def _stop(self) -> None:
         self._stopping.set()
@@ -1019,7 +934,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         obs = self._obs
         if obs is not None and self._client is not None:
             # Last stats pull before hanging up: the sidecar's trace
-            # buffer (its join_check track) folds into the merged trace.
+            # buffer (its own track) folds into the merged trace.
             stats = None
             if not self._client.degraded:
                 try:
@@ -1076,8 +991,7 @@ class ProcessRuntime(SupervisedJoinMixin):
                 f"picklable: {exc}"
             ) from exc
         vertex = self._verifier.on_fork(parent.vertex)
-        self._verifier.announce_fork(vertex)
-        self._verifier.flush_announcements()
+        self._announce(vertex)
         task = TaskHandle(vertex, code=fn, parent_uid=parent.uid)
         future = Future(self, task)
         task.state = TaskState.RUNNING
@@ -1193,7 +1107,7 @@ class ProcessRuntime(SupervisedJoinMixin):
             ready = _mpc_wait(list(sentinels), timeout=0.2)
             for sentinel in ready:
                 self._on_worker_death(sentinels[sentinel])
-            # Keep the parent's mostly-idle sidecar connection alive so
+            # Keep the parent's announce-only sidecar connection alive so
             # the server's liveness sweeper doesn't reap it mid-run and
             # the shutdown stats pull finds the stream still open.
             now = time.monotonic()
@@ -1246,8 +1160,7 @@ class ProcessRuntime(SupervisedJoinMixin):
         # A fresh vertex under the original parent: the retry is a later
         # sibling, so every existing verdict stays sound (no-widening).
         new_vid = self._verifier.on_fork(entry.parent_vid)
-        self._verifier.announce_fork(new_vid)
-        self._verifier.flush_announcements()
+        self._announce(new_vid)
         future.task.vertex = new_vid
         lineage = None
         if self.spawn_paths == "wire":

@@ -84,7 +84,7 @@ def _stamp_trace(record: dict) -> None:
 
     The fields are optional on the wire (old servers ignore them); with
     them the sidecar parents its ``join_check`` span under the span that
-    escalated the check, stitching its track into the caller's
+    sent the check, stitching its track into the caller's
     distributed trace.  Disabled telemetry is one contextvar read.
     """
     tctx = current_trace_context()
@@ -725,29 +725,25 @@ class RemoteVerifier(Verifier):
 
 
 class SessionClient:
-    """A thin rid-level sidecar session for the multi-process runtime.
+    """A thin rid-level sidecar session: tenant announcements and queries.
 
     Where :class:`RemoteVerifier` *is* a verifier (vertices, replay
-    buffer, reconcile machinery), this client is deliberately less: the
-    procs runtime already holds the whole spawn-path forest in shared
-    memory, so the sidecar is an *arbiter for cross-process edges*, not
-    the source of truth.  The client therefore ships plain integer rids
-    (the shared-tree vertex ids), buffers fire-and-forget state events
-    (flushed every :attr:`FLUSH_EVERY` or before any check), and answers
-    synchronous checks by request id.
+    buffer, reconcile machinery), this client is deliberately less.  The
+    multi-process runtime decides every join in-process and uses one
+    session only to *mirror* its dispatch tree: it ships plain integer
+    rids (its spawn-path vertex ids) with their authoritative placement
+    as buffered fire-and-forget state events (flushed every
+    :attr:`FLUSH_EVERY`, on :meth:`flush`, or before any request).  A
+    tenant client that lacks the tree joins the same tenant and asks
+    the mirror with synchronous :meth:`check` and :meth:`stats`
+    requests, answered by request id.
 
     Degradation is **permanent and local**: on any connect, send,
     receive, timeout or backpressure failure the client goes silent and
-    every later call is a no-op — ``check``/``check_batch`` return
-    ``None``, telling the caller to resolve the join against its own
-    shared-memory shard, which is sound because TJ verdicts derive
-    entirely from the fork tree every process can already see.  There is
-    no replay buffer and no reconcile: the sidecar's copy is for
+    every later call is a no-op — requests return ``None``.  There is no
+    replay buffer and no reconcile: the sidecar's copy is for
     observability and post-mortems, and a runtime that outlives its
-    sidecar finishes verified all the same (the degradation is counted
-    and reported).  One lock serialises the socket; concurrent task
-    threads in a worker simply queue behind each other, which the
-    local-shard fast path keeps rare.
+    sidecar is unaffected.  One lock serialises the socket.
     """
 
     #: buffered state events forcing a flush
@@ -829,9 +825,6 @@ class SessionClient:
             }
         )
 
-    def join_event(self, waiter_rid: int, joinee_rid: int) -> None:
-        self._buffer_event({"kind": "join", "waiter": waiter_rid, "joinee": joinee_rid})
-
     def _buffer_event(self, record: dict) -> None:
         if self.degraded:
             return
@@ -858,21 +851,14 @@ class SessionClient:
             self._degrade_locked(f"flush: {exc}")
 
     # ------------------------------------------------------------------
-    # synchronous checks
+    # synchronous requests
     # ------------------------------------------------------------------
     def check(self, waiter_rid: int, joinee_rid: int) -> "bool | None":
-        """One join-permit query; None = degraded, resolve locally."""
+        """One join-permit query against the tenant mirror; None = degraded."""
         record = {"kind": "check", "waiter": waiter_rid, "joinee": joinee_rid}
         _stamp_trace(record)
         reply = self._roundtrip(record, "verdict")
         return None if reply is None else bool(reply["ok"])
-
-    def check_batch(self, waiter_rid: int, joinee_rids: "list[int]") -> "list[bool] | None":
-        """Batch join-permit query (the PR 7 wire vocabulary, reused)."""
-        record = {"kind": "check_batch", "waiter": waiter_rid, "joinees": list(joinee_rids)}
-        _stamp_trace(record)
-        reply = self._roundtrip(record, "verdicts")
-        return None if reply is None else [bool(ok) for ok in reply["ok"]]
 
     def stats(self) -> "dict | None":
         """The server's full stats snapshot; None = degraded.
@@ -887,10 +873,10 @@ class SessionClient:
     def ping(self) -> None:
         """Fire-and-forget keepalive (the pong is drained later).
 
-        The parent's client can sit idle for an entire run between
-        escalations; without an occasional ping the server's liveness
-        sweeper reaps the connection as dead and the final stats pull
-        finds a closed stream.
+        The runtime's client only sends when it dispatches, and can sit
+        idle for long stretches of a run; without an occasional ping the
+        server's liveness sweeper reaps the connection as dead and the
+        final stats pull finds a closed stream.
         """
         if self.degraded:
             return
@@ -926,10 +912,9 @@ class SessionClient:
                     if kind == want and reply.get("req") == req:
                         return reply
                     if kind == "quarantine":
-                        # Tenant policy quarantined server-side; the
-                        # shared-memory shard remains the (sound) local
-                        # authority, so treat it like degradation for
-                        # this and future checks.
+                        # Tenant policy quarantined server-side: its
+                        # verdicts mean nothing any more, so treat it
+                        # like degradation for this and future checks.
                         self.quarantined = True
                         if reply.get("req") == req:
                             self._degrade_locked("server policy quarantined")

@@ -45,16 +45,17 @@ _CLOSE = object()
 class Tenant:
     """Verification state shared by a *group* of sessions.
 
-    The multi-process runtime opens one session per worker process but
-    all workers fork into one spawn-path forest, so their sessions must
-    share one policy instance and one rid namespace — that sharing is a
-    tenant.  Every member session applies records under the tenant's
-    lock (the sessions' worker threads interleave), against the tenant's
-    verifier and ``vertices`` map.
+    Several sessions may speak about one spawn-path forest — the
+    multi-process runtime's announcing session and any tenant client
+    that asks about its dispatch tree — so they must share one policy
+    instance and one rid namespace; that sharing is a tenant.  Every
+    member session applies records under the tenant's lock (the
+    sessions' worker threads interleave), against the tenant's verifier
+    and ``vertices`` map.
 
     Cross-session ordering is the one new problem, twice over.  First,
-    worker B may check a join against a vertex whose announcing ``fork``
-    is still queued in worker A's session: records that reference a
+    session B may check a join against a vertex whose announcing ``fork``
+    is still queued in session A: records that reference a
     not-yet-known rid are **parked** keyed by the missing rid and
     replayed the moment any member session inserts it; state events are
     journalled at arrival (recovery replays them in arrival order and
@@ -62,10 +63,10 @@ class Tenant:
     which is exactly the stream-synchronous semantics a single session
     already has, lifted to the tenant.  A rid that never arrives (a
     client bug) parks its records forever; clients bound the wait with
-    their own timeouts.  Second, *sibling order*: two workers' fork
-    announcements race, so the tenant must not re-derive edge indices
+    their own timeouts.  Second, *sibling order*: two sessions' fork
+    announcements may race, so the tenant must not re-derive edge indices
     from arrival order — tenant fork records carry the authoritative
-    ``edge``/``depth`` from the client's shared tree and the tenant
+    ``edge``/``depth`` from the client's own tree and the tenant
     verifies over a :class:`~repro.service.mirror.MirroredSpawnPaths`
     that applies them verbatim.  That mirror is TJ-SP-shaped, so only
     TJ-SP-family policies may open a tenant.

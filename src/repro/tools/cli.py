@@ -1029,7 +1029,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p.add_argument(
         "--sidecar",
         default=None,
-        help="remote://host:port URL or 'auto' (omit: no sidecar)",
+        help="remote://host:port URL or 'auto' (omit: no sidecar); the "
+        "sidecar only mirrors the dispatch tree, every join is decided "
+        "in-process",
     )
     p.add_argument(
         "--kill-worker",

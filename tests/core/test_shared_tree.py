@@ -19,6 +19,7 @@ from repro.core.shared_tree import (
     shm_available,
 )
 from repro.core.tj_sp_flat import TJSpawnPathsFlat
+from repro.core.tj_sp_rows import rows_less
 
 pytestmark = pytest.mark.skipif(
     not shm_available(), reason="multiprocessing.shared_memory unavailable"
@@ -61,8 +62,8 @@ def test_rows_survive_generation_growth():
             chain.append(tree.add_child(chain[-1]))
         assert tree.depth_of(chain[-1]) == 300
         assert tree.row_of(chain[1]) == (root, 0, 1)
-        assert tree.less(root, chain[-1])
-        assert not tree.less(chain[-1], root)
+        assert rows_less(tree.row_of, root, chain[-1])
+        assert not rows_less(tree.row_of, chain[-1], root)
         assert tree.path_of(chain[3]) == (0, 0, 0)
 
 

@@ -1,5 +1,6 @@
-"""The multi-process runtime: verified dispatch, escalation accounting,
-worker-death recovery, and the pickling boundary.
+"""The multi-process runtime: verified dispatch, local/cross join
+accounting, the observe-only sidecar, worker-death recovery, and the
+pickling boundary.
 
 Dispatched bodies must be module-level (they cross a process boundary),
 so every task body here is a top-level function.  Pool geometry is kept
@@ -26,6 +27,7 @@ from repro.errors import (
 from repro.runtime import ProcessRuntime, require_current_task
 from repro.runtime.procs import ShardVerifier, WireSpawnPaths
 from repro.core.shared_tree import shm_available
+from repro.service.client import SessionClient
 
 MODES = ["wire"] + (["shm"] if shm_available() else [])
 
@@ -121,8 +123,8 @@ def test_join_stats_split_local_vs_cross(mode):
     # cross-process edge.
     assert js["cross_joins"] == 20  # 4 subtrees x 5 leaves
     assert js["local_joins"] >= 4  # the parent's joins at minimum
-    # No sidecar: every escalation resolves against the local authority.
-    assert js["degraded_joins"] == js["cross_joins"]
+    # Every join, cross-process ones included, is decided in-process.
+    assert js["degraded_joins"] == 0
     assert 0.0 < js["escalation_ratio"] < 1.0
 
 
@@ -135,25 +137,56 @@ def test_fork_heavy_shape_keeps_escalation_in_the_minority():
 
     rt.run(root)
     js = rt.join_stats()
-    # Only the dispatched tasks' own joins escalate; the two in-worker
-    # levels below them are local.  That is the >90%-local design point
+    # Only the dispatched tasks' own joins are cross-process; the two
+    # in-worker levels below them are local.  That is the >90%-local design point
     # scaled down: here 12 cross out of 12 + (12*6 local + 4 parent).
     assert js["local_joins"] > js["cross_joins"]
     assert js["escalation_ratio"] < 0.5
 
 
-def test_sidecar_resolves_cross_joins_without_degradation():
-    rt = _rt(sidecar="auto")
+@pytest.mark.parametrize("mode", MODES)
+def test_sidecar_only_observes_joins_stay_in_process(mode):
+    """A sidecar changes nothing about joins: same results, same counts,
+    no check from the runtime's sessions — yet a tenant client that
+    lacks the tree still gets verdicts over the mirrored dispatch tree."""
 
-    def root():
-        futs = [rt.fork(subtree, 10 * t, 5) for t in range(4)]
-        return rt.join_batch(futs)
+    def run(sidecar):
+        rt = _rt(spawn_paths=mode, sidecar=sidecar)
+        seen = {}
 
-    rt.run(root)
-    js = rt.join_stats()
-    assert js["cross_joins"] == 20
-    assert js["degraded_joins"] == 0
-    assert js["announced"] > 0
+        def root():
+            futs = [rt.fork(subtree, 10 * t, 5) for t in range(4)]
+            totals = rt.join_batch(futs)
+            if rt.sidecar_url is not None:
+                probe_id = f"{rt.run_id}-probe"
+                client = SessionClient(rt.sidecar_url, probe_id, tenant=rt.run_id)
+                try:
+                    assert client.connect()
+                    root_vid = require_current_task().vertex
+                    seen["verdict"] = client.check(root_vid, futs[0].task.vertex)
+                    per_session = client.stats()["per_session"]
+                finally:
+                    client.close()
+                seen["runtime_sessions"] = {
+                    sid: snap
+                    for sid, snap in per_session.items()
+                    if sid.startswith(rt.run_id) and sid != probe_id
+                }
+            return totals
+
+        return rt.run(root), rt.join_stats(), seen
+
+    plain, plain_js, _ = run(None)
+    observed, observed_js, seen = run("auto")
+    assert observed == plain
+    for js in (plain_js, observed_js):
+        assert js["cross_joins"] == 20
+        assert js["degraded_joins"] == 0
+    assert observed_js["local_joins"] == plain_js["local_joins"]
+    # only the parent's announcing session; it never asked for a verdict
+    assert len(seen["runtime_sessions"]) == 1
+    assert sum(s["checks"] for s in seen["runtime_sessions"].values()) == 0
+    assert seen["verdict"] is True
 
 
 def test_finish_construct_drives_the_worker_engine():
@@ -315,8 +348,12 @@ def test_wire_spawn_paths_striping_and_lineage():
     remote = b.add_child(kids[2])
     assert remote % 3 == 1
     assert b.rows[kids[2]] == a.rows[kids[2]]
-    # verdicts agree across stores that share the adopted lineage
-    assert b.permits(kids[2], remote) == a.permits(kids[2], kids[2]) or True
+    # the adopting store decides over the shipped lineage: a parent may
+    # join its child, a child never its parent, a later sibling an
+    # earlier one's descendant
+    assert b.permits(kids[2], remote) and not b.permits(remote, kids[2])
+    b.adopt(a.lineage(kids[3]))
+    assert b.permits(kids[3], remote) and not b.permits(remote, kids[3])
     lineage = a.lineage(kids[2])
     assert lineage[0][0] == root and lineage[-1][0] == kids[2]
     assert [d for _, _, _, d in lineage] == [0, 1]
@@ -329,13 +366,14 @@ def test_shard_verifier_counts_and_locality():
     child = shard.on_fork(root)
     assert shard.is_local(root) and shard.is_local(child)
     assert shard.check_join(root, child) is True
-    # a remotely-forked joiner: adopted, not local -> counted as cross
+    # a remotely-forked joiner: adopted, not local -> counted as cross,
+    # and decided by the shard's own policy all the same
     remote = pol.add_child(root)
     shard.adopt(remote)
     grand = shard.on_fork(remote)
     assert not shard.is_local(remote) and shard.is_local(grand)
     assert shard.check_join(remote, grand) is True
-    stats = shard.procs_stats()
-    assert stats["local_joins"] == 1
-    assert stats["cross_joins"] == 1
-    assert stats["degraded_joins"] == 1  # no sidecar attached
+    assert shard.check_joins(remote, [grand, root]) == [True, False]
+    assert shard.procs_stats() == {"local_joins": 1, "cross_joins": 3}
+    assert shard.stats.joins_checked == 4
+    assert shard.stats.joins_rejected == 1
